@@ -31,6 +31,7 @@
 #include <cmath>
 
 #include "blas/gemv_types.hpp"
+#include "device/fault_plan.hpp"
 #include "device/stream.hpp"
 #include "util/math.hpp"
 #include "util/types.hpp"
@@ -220,17 +221,6 @@ device::KernelFootprint gemv_verify_footprint(index_t y_len, index_t batch,
   return fp;
 }
 
-/// First verification failure recorded by the verify launch (blocks
-/// of the simulated device run sequentially, so a plain struct shared
-/// through a pointer capture is race-free).
-struct GemvVerifyFailure {
-  int count = 0;
-  index_t batch_entry = -1;
-  index_t rhs = -1;
-  double diff = 0.0;
-  double bound = 0.0;
-};
-
 /// Checksum-dot body, run once per batch entry bz by the augmented
 /// grouped launch (on the bx == 0 gridblocks): for every (group, RHS)
 /// accumulate `conj_if(checksum) . x` and `sum |checksum_j x_j|` in
@@ -269,7 +259,7 @@ void gemv_grouped_checksum_block(const SbgemvGroupedArgs<T>& ga,
 template <class T>
 void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
                                const SbgemvVerify<T>& verify,
-                               GemvVerifyFailure* fail, index_t bz) {
+                               device::VerifyFailure* fail, index_t bz) {
   const SbgemvArgs<T>& a = ga.base;
   const index_t y_len = a.y_len();
   const index_t nrhs = ga.total_nrhs();
@@ -286,16 +276,7 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
     const auto expect = alpha * verify.checksum_out[bz + a.batch * r];
     const double scale = y_mag + std::abs(expect) +
                          std::abs(alpha) * verify.scale_out[bz + a.batch * r];
-    const double diff = std::abs(sum - expect);
-    const double bound = verify.tolerance * scale;
-    if (diff > bound) {
-      if (fail->count++ == 0) {
-        fail->batch_entry = bz;
-        fail->rhs = r;
-        fail->diff = diff;
-        fail->bound = bound;
-      }
-    }
+    fail->check(bz, r, std::abs(sum - expect), verify.tolerance * scale);
   }
 }
 

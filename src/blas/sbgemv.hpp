@@ -249,8 +249,8 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
     }
   }
   if (verify.enabled) {
-    GemvVerifyFailure fail;
-    GemvVerifyFailure* fail_ptr = &fail;
+    device::VerifyFailure fail;
+    device::VerifyFailure* fail_ptr = &fail;
     const SbgemvArgs<T>& base = args.base;
     const device::LaunchGeometry vgeom{.grid_x = 1,
                                        .grid_y = 1,
@@ -265,11 +265,11 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
     if (!phantom && fail.count > 0) {
       throw device::SilentCorruption(
           "sbgemv-checksum",
-          "batch entry " + std::to_string(fail.batch_entry) + ", rhs " +
-              std::to_string(fail.rhs) + ": |sum(y) - checksum| = " +
+          "batch entry " + std::to_string(fail.entry) + ", rhs " +
+              std::to_string(fail.sub) + ": |sum(y) - checksum| = " +
               std::to_string(fail.diff) + " exceeds bound " +
               std::to_string(fail.bound) + " (" +
-              std::to_string(fail.count) + " failing column(s))");
+              std::to_string(fail.count.load()) + " failing column(s))");
     }
   }
   return timing;

@@ -33,30 +33,6 @@ PhaseTimings& PhaseTimings::operator*=(double s) {
   return *this;
 }
 
-template <class T>
-T* FftMatvecPlan::DualReal::get(device::Device& dev, index_t n) {
-  if constexpr (std::is_same_v<T, double>) {
-    if (!d || d->size() < n) d.emplace(dev, n);
-    return d->data();
-  } else {
-    static_assert(std::is_same_v<T, float>, "DualReal holds float/double");
-    if (!f || f->size() < n) f.emplace(dev, n);
-    return f->data();
-  }
-}
-
-template <class T>
-T* FftMatvecPlan::DualComplex::get(device::Device& dev, index_t n) {
-  if constexpr (std::is_same_v<T, cdouble>) {
-    if (!d || d->size() < n) d.emplace(dev, n);
-    return d->data();
-  } else {
-    static_assert(std::is_same_v<T, cfloat>, "DualComplex holds cfloat/cdouble");
-    if (!f || f->size() < n) f.emplace(dev, n);
-    return f->data();
-  }
-}
-
 FftMatvecPlan::FftMatvecPlan(device::Device& dev, device::Stream& stream,
                              const LocalDims& dims, MatvecOptions options)
     : dev_(&dev), stream_(&stream), dims_(dims), options_(options) {
@@ -65,25 +41,7 @@ FftMatvecPlan::FftMatvecPlan(device::Device& dev, device::Stream& stream,
 
 namespace {
 
-/// Invoke fn(SrcTag{}, DstTag{}) with float/double value tags for the
-/// given precision pair.
-template <class Fn>
-void dispatch2(Precision src, Precision dst, Fn&& fn) {
-  if (src == Precision::kDouble) {
-    if (dst == Precision::kDouble) {
-      fn(double{}, double{});
-    } else {
-      fn(double{}, float{});
-    }
-  } else {
-    if (dst == Precision::kDouble) {
-      fn(float{}, double{});
-    } else {
-      fn(float{}, float{});
-    }
-  }
-}
-
+/// Invoke fn(Tag{}) with a float/double value tag for `p`.
 template <class Fn>
 void dispatch1(Precision p, Fn&& fn) {
   if (p == Precision::kDouble) {
@@ -93,299 +51,73 @@ void dispatch1(Precision p, Fn&& fn) {
   }
 }
 
+/// Invoke fn(SrcTag{}, DstTag{}) for the given precision pair.
+template <class Fn>
+void dispatch2(Precision src, Precision dst, Fn&& fn) {
+  dispatch1(src, [&](auto s) { dispatch1(dst, [&](auto d) { fn(s, d); }); });
+}
+
 index_t scalar_width(Precision p) {
   return p == Precision::kSingle ? 4 : 8;
 }
 
 }  // namespace
 
+template <class S>
+fft::BatchedRealFft<S>& FftMatvecPlan::fft_plan(bool param_side) {
+  auto& slot = [&]() -> std::optional<fft::BatchedRealFft<S>>& {
+    if constexpr (std::is_same_v<S, double>) {
+      return fft_d_[param_side];
+    } else {
+      return fft_f_[param_side];
+    }
+  }();
+  if (!slot) {
+    slot.emplace(dims_.padded_length(),
+                 param_side ? dims_.n_m_local : dims_.n_d_local);
+  }
+  return *slot;
+}
+
+void FftMatvecPlan::apply_single(const BlockToeplitzOperator& op,
+                                 ApplyDirection direction,
+                                 std::span<const double> in,
+                                 std::span<double> out,
+                                 const PrecisionConfig& config,
+                                 comm::RankComms* comms,
+                                 const PartialSink* sink) {
+  const OperatorGroup group{&op, 1};
+  const ConstVectorView inputs[] = {in};
+  const VectorView outputs[] = {out};
+  execute({&group, 1}, direction, config, inputs, outputs, {}, comms, sink);
+}
+
 void FftMatvecPlan::forward(const BlockToeplitzOperator& op,
                             std::span<const double> m, std::span<double> d,
                             const PrecisionConfig& config,
                             comm::RankComms* comms) {
-  apply(op, m, d, config, comms, /*adjoint=*/false);
+  apply_single(op, ApplyDirection::kForward, m, d, config, comms, nullptr);
 }
 
 void FftMatvecPlan::adjoint(const BlockToeplitzOperator& op,
                             std::span<const double> d, std::span<double> m,
                             const PrecisionConfig& config,
                             comm::RankComms* comms) {
-  apply(op, d, m, config, comms, /*adjoint=*/true);
+  apply_single(op, ApplyDirection::kAdjoint, d, m, config, comms, nullptr);
 }
 
 void FftMatvecPlan::forward_partial(const BlockToeplitzOperator& op,
                                     std::span<const double> m,
                                     const PartialSink& sink,
                                     const PrecisionConfig& config) {
-  apply(op, m, {}, config, nullptr, /*adjoint=*/false, &sink);
+  apply_single(op, ApplyDirection::kForward, m, {}, config, nullptr, &sink);
 }
 
 void FftMatvecPlan::adjoint_partial(const BlockToeplitzOperator& op,
                                     std::span<const double> d,
                                     const PartialSink& sink,
                                     const PrecisionConfig& config) {
-  apply(op, d, {}, config, nullptr, /*adjoint=*/true, &sink);
-}
-
-void FftMatvecPlan::apply(const BlockToeplitzOperator& op,
-                          std::span<const double> in, std::span<double> out,
-                          const PrecisionConfig& config, comm::RankComms* comms,
-                          bool adjoint, const PartialSink* partial) {
-  const Precision p1 = config.phase(precision::kPhasePad);
-  const Precision p2 = config.phase(precision::kPhaseFft);
-  const Precision p3 = config.phase(precision::kPhaseSbgemv);
-  const Precision p4 = config.phase(precision::kPhaseIfft);
-  const Precision p5 = config.phase(precision::kPhaseUnpad);
-
-  const index_t nt = dims_.n_t();
-  const index_t L = dims_.padded_length();
-  const index_t nf = dims_.num_frequencies();
-  const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
-  const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
-
-  comm::GroupComm* bcast_group = nullptr;
-  comm::GroupComm* reduce_group = nullptr;
-  comm::MatvecCollectives coll;  // zero until a grid is attached
-  if (comms != nullptr) {
-    if (dev_->phantom()) {
-      throw std::logic_error("distributed apply is not supported on a phantom device");
-    }
-    const index_t p_rows = comms->grid_col.size();
-    const index_t p_cols = comms->grid_row.size();
-    if (!adjoint) {
-      bcast_group = &comms->grid_col;
-      reduce_group = &comms->grid_row;
-    } else {
-      bcast_group = &comms->grid_row;
-      reduce_group = &comms->grid_col;
-    }
-    // Grid locality and the alpha-beta terms live in the cost model —
-    // the single source of truth shared with the fig4/serve scaling
-    // harnesses and the serving layer's sharded dispatch.
-    const comm::CommCostModel net(options_.network);
-    coll = net.matvec_collectives(
-        p_rows, p_cols, adjoint,
-        static_cast<double>(nt * ns_in) * static_cast<double>(scalar_width(p1)),
-        static_cast<double>(nt * ns_out) *
-            static_cast<double>(scalar_width(p5)));
-  }
-
-  if (!dev_->phantom()) {
-    const bool is_bcast_root = bcast_group == nullptr || bcast_group->rank() == 0;
-    if (is_bcast_root && static_cast<index_t>(in.size()) != nt * ns_in) {
-      throw std::invalid_argument("matvec: input span has wrong extent on root");
-    }
-  }
-
-  timings_ = PhaseTimings{};
-  rhs_timings_.clear();
-  ++executions_;
-  const bool fuse = options_.fuse_casts;
-
-  // ---- Phase 1: broadcast staging + fused transpose/pad/cast ----
-  double t0 = stream_->now();
-  const void* phase1_src = nullptr;  // typed via p1
-  dispatch1(p1, [&](auto tag1) {
-    using S1 = decltype(tag1);
-    const bool distributed = bcast_group != nullptr && bcast_group->size() > 1;
-    if constexpr (std::is_same_v<S1, double>) {
-      if (!distributed) {
-        phase1_src = in.data();
-        return;
-      }
-      double* bc = bcast_.get<double>(*dev_, nt * ns_in);
-      if (!in.empty()) stream_->copy(in.data(), bc, nt * ns_in);
-      bcast_group->broadcast(bc, nt * ns_in, 0);
-      phase1_src = bc;
-    } else {
-      float* bc = bcast_.get<float>(*dev_, nt * ns_in);
-      // Phantom devices still charge the staging-cast time.
-      if (!in.empty() || dev_->phantom()) {
-        precision::convert_array(*stream_, in.data(), bc, nt * ns_in);
-      }
-      if (distributed) bcast_group->broadcast(bc, nt * ns_in, 0);
-      phase1_src = bc;
-    }
-  });
-  if (bcast_group != nullptr && bcast_group->size() > 1) {
-    stream_->advance(coll.broadcast_s);
-    timings_.comm += coll.broadcast_s;
-  }
-
-  dispatch2(p1, p2, [&](auto tag1, auto tag2) {
-    using S1 = decltype(tag1);
-    using S2 = decltype(tag2);
-    const S1* src = static_cast<const S1*>(phase1_src);
-    S2* dst = padded_.get<S2>(*dev_, ns_in * L);
-    if (fuse || std::is_same_v<S1, S2>) {
-      precision::transpose_pad_cast<S2>(*stream_, src, dst, nt, ns_in, L);
-    } else {
-      S1* tmp = padded_.get<S1>(*dev_, ns_in * L);
-      precision::transpose_pad_cast<S1>(*stream_, src, tmp, nt, ns_in, L);
-      precision::convert_array(*stream_, tmp, dst, ns_in * L);
-    }
-  });
-  timings_.pad += stream_->now() - t0 - timings_.comm;
-
-  // ---- Phase 2: batched real FFT ----
-  t0 = stream_->now();
-  dispatch1(p2, [&](auto tag2) {
-    using S2 = decltype(tag2);
-    using C2 = std::complex<S2>;
-    auto& plan = [&]() -> fft::BatchedRealFft<S2>& {
-      if constexpr (std::is_same_v<S2, double>) {
-        auto& slot = adjoint ? fft_d_d_ : fft_m_d_;
-        if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-        return *slot;
-      } else {
-        auto& slot = adjoint ? fft_d_f_ : fft_m_f_;
-        if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-        return *slot;
-      }
-    }();
-    const S2* padded = padded_.get<S2>(*dev_, ns_in * L);
-    C2* spec = spec_.get<C2>(*dev_, ns_in * nf);
-    plan.forward_on(*stream_, padded, L, spec, nf);
-  });
-  timings_.fft += stream_->now() - t0;
-
-  // ---- Phase 3: reorder + SBGEMV + reorder (all charged to SBGEMV,
-  // matching the artifact's timing output) ----
-  t0 = stream_->now();
-  dispatch2(p2, p3, [&](auto tag2, auto tag3) {
-    using C2 = std::complex<decltype(tag2)>;
-    using C3 = std::complex<decltype(tag3)>;
-    const C2* spec = spec_.get<C2>(*dev_, ns_in * nf);
-    C3* spec_t = spec_t_.get<C3>(*dev_, nf * ns_in);
-    if (fuse || std::is_same_v<C2, C3>) {
-      precision::transpose_cast<C3>(*stream_, spec, spec_t, ns_in, nf);
-    } else {
-      C2* tmp = spec_t_.get<C2>(*dev_, nf * ns_in);
-      precision::transpose_cast<C2>(*stream_, spec, tmp, ns_in, nf);
-      precision::convert_array(*stream_, tmp, spec_t, nf * ns_in);
-    }
-  });
-  dispatch1(p3, [&](auto tag3) {
-    using C3 = std::complex<decltype(tag3)>;
-    blas::SbgemvArgs<C3> args;
-    args.op = adjoint ? blas::Op::C : blas::Op::N;
-    args.m = dims_.n_d_local;
-    args.n = dims_.n_m_local;
-    args.alpha = C3(1);
-    if constexpr (std::is_same_v<C3, cdouble>) {
-      args.a = op.spectrum_d();
-    } else {
-      args.a = op.spectrum_f(*stream_);
-    }
-    args.lda = dims_.n_d_local;
-    args.stride_a = dims_.n_d_local * dims_.n_m_local;
-    args.x = spec_t_.get<C3>(*dev_, nf * ns_in);
-    args.stride_x = ns_in;
-    args.beta = C3(0);
-    args.y = ospec_t_.get<C3>(*dev_, nf * ns_out);
-    args.stride_y = ns_out;
-    args.batch = nf;
-    blas::sbgemv(*stream_, args, options_.gemv_policy);
-  });
-  dispatch2(p3, p4, [&](auto tag3, auto tag4) {
-    using C3 = std::complex<decltype(tag3)>;
-    using C4 = std::complex<decltype(tag4)>;
-    const C3* ospec_t = ospec_t_.get<C3>(*dev_, nf * ns_out);
-    C4* ospec = ospec_.get<C4>(*dev_, ns_out * nf);
-    if (fuse || std::is_same_v<C3, C4>) {
-      precision::transpose_cast<C4>(*stream_, ospec_t, ospec, nf, ns_out);
-    } else {
-      C3* tmp = ospec_.get<C3>(*dev_, ns_out * nf);
-      precision::transpose_cast<C3>(*stream_, ospec_t, tmp, nf, ns_out);
-      precision::convert_array(*stream_, tmp, ospec, ns_out * nf);
-    }
-  });
-  timings_.sbgemv += stream_->now() - t0;
-
-  // ---- Phase 4: batched inverse real FFT ----
-  t0 = stream_->now();
-  dispatch1(p4, [&](auto tag4) {
-    using S4 = decltype(tag4);
-    using C4 = std::complex<S4>;
-    auto& plan = [&]() -> fft::BatchedRealFft<S4>& {
-      if constexpr (std::is_same_v<S4, double>) {
-        auto& slot = adjoint ? fft_m_d_ : fft_d_d_;
-        if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-        return *slot;
-      } else {
-        auto& slot = adjoint ? fft_m_f_ : fft_d_f_;
-        if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-        return *slot;
-      }
-    }();
-    const C4* ospec = ospec_.get<C4>(*dev_, ns_out * nf);
-    S4* opad = opad_.get<S4>(*dev_, ns_out * L);
-    plan.inverse_on(*stream_, ospec, nf, opad, L);
-  });
-  timings_.ifft += stream_->now() - t0;
-
-  // ---- Phase 5: fused unpad/transpose, reduction, final cast ----
-  t0 = stream_->now();
-  dispatch2(p4, p5, [&](auto tag4, auto tag5) {
-    using S4 = decltype(tag4);
-    using S5 = decltype(tag5);
-    const S4* opad = opad_.get<S4>(*dev_, ns_out * L);
-    S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-    if (fuse || std::is_same_v<S4, S5>) {
-      precision::unpad_transpose_cast<S5>(*stream_, opad, olocal, nt, ns_out, L);
-    } else {
-      S4* tmp = olocal_.get<S4>(*dev_, nt * ns_out);
-      precision::unpad_transpose_cast<S4>(*stream_, opad, tmp, nt, ns_out, L);
-      precision::convert_array(*stream_, tmp, olocal, nt * ns_out);
-    }
-  });
-
-  if (partial != nullptr) {
-    dispatch1(p5, [&](auto tag5) {
-      using S5 = decltype(tag5);
-      S5* dst;
-      if constexpr (std::is_same_v<S5, double>) {
-        dst = partial->d;
-      } else {
-        dst = partial->f;
-      }
-      if (dst == nullptr) {
-        throw std::invalid_argument(
-            "PartialSink pointer does not match the phase-5 precision");
-      }
-      stream_->copy(olocal_.get<S5>(*dev_, nt * ns_out), dst, nt * ns_out);
-    });
-    timings_.unpad += stream_->now() - t0;
-    timings_.makespan = timings_.total();  // serial: nothing overlapped
-    return;
-  }
-
-  double comm_before_reduce = timings_.comm;
-  const bool is_reduce_root = reduce_group == nullptr || reduce_group->rank() == 0;
-  dispatch1(p5, [&](auto tag5) {
-    using S5 = decltype(tag5);
-    S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-    const S5* result = olocal;
-    if (reduce_group != nullptr && reduce_group->size() > 1) {
-      S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
-      reduce_group->reduce_sum(olocal, recv, nt * ns_out, 0);
-      stream_->advance(coll.reduce_s);
-      timings_.comm += coll.reduce_s;
-      result = recv;
-    }
-    if (is_reduce_root && (!out.empty() || dev_->phantom())) {
-      if (!dev_->phantom() && static_cast<index_t>(out.size()) != nt * ns_out) {
-        throw std::invalid_argument("matvec: output span has wrong extent on root");
-      }
-      if constexpr (std::is_same_v<S5, double>) {
-        stream_->copy(result, out.data(), nt * ns_out);
-      } else {
-        precision::convert_array(*stream_, result, out.data(), nt * ns_out);
-      }
-    }
-  });
-  timings_.unpad += stream_->now() - t0 - (timings_.comm - comm_before_reduce);
-  timings_.makespan = timings_.total();  // serial: nothing overlapped
+  apply_single(op, ApplyDirection::kAdjoint, d, {}, config, nullptr, &sink);
 }
 
 void FftMatvecPlan::apply_batch(const BlockToeplitzOperator& op,
@@ -404,6 +136,17 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
                                 const BatchPipeline& pipeline) {
+  execute(groups, direction, config, inputs, outputs, pipeline, nullptr,
+          nullptr);
+}
+
+void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
+                            ApplyDirection direction,
+                            const PrecisionConfig& config,
+                            std::span<const ConstVectorView> inputs,
+                            std::span<const VectorView> outputs,
+                            const BatchPipeline& pipeline,
+                            comm::RankComms* comms, const PartialSink* sink) {
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t b = static_cast<index_t>(inputs.size());
   if (b < 1) {
@@ -421,7 +164,11 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       throw std::invalid_argument(
           "apply_batch: every group needs an operator and >= 1 RHS");
     }
-    if (!(g.op->dims() == dims_)) {
+    // Shape, not placement: a lockstep cluster drives every rank's
+    // operator (same local shape, different offsets) through one plan.
+    const LocalDims& od = g.op->dims();
+    if (od.n_t() != dims_.n_t() || od.n_m_local != dims_.n_m_local ||
+        od.n_d_local != dims_.n_d_local) {
       throw std::invalid_argument(
           "apply_batch: group operator dims do not match the plan");
     }
@@ -444,15 +191,46 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
   const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
 
+  // Grid stages of the single-RHS spellings: the input is broadcast
+  // from the root of `bcast` and the partial outputs are summed to the
+  // root of `reduce`, each charged through the comm cost model (the
+  // single source of truth shared with the fig4/serve scaling
+  // harnesses and the serving layer's sharded dispatch).
+  comm::GroupComm* bcast = nullptr;
+  comm::GroupComm* reduce = nullptr;
+  comm::MatvecCollectives coll;
+  if (comms != nullptr) {
+    if (dev_->phantom()) {
+      throw std::logic_error("distributed apply is not supported on a phantom device");
+    }
+    bcast = adjoint ? &comms->grid_row : &comms->grid_col;
+    reduce = adjoint ? &comms->grid_col : &comms->grid_row;
+    coll = comm::CommCostModel(options_.network)
+               .matvec_collectives(
+                   comms->grid_col.size(), comms->grid_row.size(), adjoint,
+                   static_cast<double>(nt * ns_in * scalar_width(p1)),
+                   static_cast<double>(nt * ns_out * scalar_width(p5)));
+  }
+  const bool in_root = bcast == nullptr || bcast->rank() == 0;
+  const bool out_root =
+      sink == nullptr && (reduce == nullptr || reduce->rank() == 0);
+  if (bcast != nullptr && bcast->size() < 2) bcast = nullptr;
+  if (reduce != nullptr && reduce->size() < 2) reduce = nullptr;
+
   if (!dev_->phantom()) {
     for (index_t r = 0; r < b; ++r) {
-      if (static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
-        throw std::invalid_argument("apply_batch: input span has wrong extent");
+      if (in_root && static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
+        throw std::invalid_argument("matvec: input span has wrong extent");
       }
-      if (static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
-        throw std::invalid_argument("apply_batch: output span has wrong extent");
+      if (out_root && static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
+        throw std::invalid_argument("matvec: output span has wrong extent");
       }
     }
+  }
+  if (sink != nullptr &&
+      (p5 == Precision::kDouble ? sink->d == nullptr : sink->f == nullptr)) {
+    throw std::invalid_argument(
+        "PartialSink pointer does not match the phase-5 precision");
   }
 
   // Pipeline-argument validation (before any state mutation, like
@@ -475,13 +253,15 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   // contiguous chunks (serial execution is the chunks == 1 degenerate
   // case running every stage on the plan's own stream).  Per chunk,
   // three stages:
-  //   stage 1 (stream A): per-RHS staging cast + fused transpose/pad
-  //     into the RHS-outer padded buffer, then ONE batched real FFT
-  //     over cb * ns_in sequences (runtime batch multiplier);
+  //   stage 1 (stream A): per-RHS staging cast (+ grid broadcast) and
+  //     fused transpose/pad into the RHS-outer padded buffer, then ONE
+  //     batched real FFT over cb * ns_in sequences (runtime batch
+  //     multiplier);
   //   stage 2 (stream B): Fourier reorder, grouped multi-RHS SBGEMV,
   //     reorder back — the dominant phase at paper scale;
   //   stage 3 (stream A): ONE batched inverse FFT + per-RHS fused
-  //     unpad/transpose into the caller's output views.
+  //     unpad/transpose, then (+ grid reduce) the final cast into the
+  //     caller's output views, or the copy into the partial sink.
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -546,19 +326,30 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     const index_t cb = hi - lo;
     const std::size_t par = static_cast<std::size_t>(i % 2);
     double t0 = sa.now();
+    double comm_s = 0.0;
     dispatch2(p1, p2, [&](auto tag1, auto tag2) {
       using S1 = decltype(tag1);
       using S2 = decltype(tag2);
       S2* dst_all = padded_.get<S2>(*dev_, cmax * ns_in * L);
       for (index_t r = lo; r < hi; ++r) {
-        const double* in = inputs[r].data();
-        const S1* src;
-        if constexpr (std::is_same_v<S1, double>) {
-          src = in;
-        } else {
-          float* bc = bcast_.get<float>(*dev_, nt * ns_in);
-          if (in != nullptr || dev_->phantom()) {
-            precision::convert_array(sa, in, bc, nt * ns_in);
+        const ConstVectorView in = inputs[r];
+        const S1* src = nullptr;
+        if constexpr (std::is_same_v<S1, double>) src = in.data();
+        // Staging copy/cast in the phase-1 precision, which is also the
+        // broadcast payload.  Phantom devices still charge its time.
+        if (!std::is_same_v<S1, double> || bcast != nullptr) {
+          S1* bc = bcast_.get<S1>(*dev_, nt * ns_in);
+          if (!in.empty() || dev_->phantom()) {
+            if constexpr (std::is_same_v<S1, double>) {
+              sa.copy(in.data(), bc, nt * ns_in);
+            } else {
+              precision::convert_array(sa, in.data(), bc, nt * ns_in);
+            }
+          }
+          if (bcast != nullptr) {
+            bcast->broadcast(bc, nt * ns_in, 0);
+            sa.advance(coll.broadcast_s);
+            comm_s += coll.broadcast_s;
           }
           src = bc;
         }
@@ -573,22 +364,13 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       }
     });
     trace_phase(sa, "pad", i, cb, t0);
-    timings_.pad += sa.now() - t0;
+    timings_.pad += sa.now() - t0 - comm_s;
+    timings_.comm += comm_s;
     t0 = sa.now();
     dispatch1(p2, [&](auto tag2) {
       using S2 = decltype(tag2);
       using C2 = std::complex<S2>;
-      auto& plan = [&]() -> fft::BatchedRealFft<S2>& {
-        if constexpr (std::is_same_v<S2, double>) {
-          auto& slot = adjoint ? fft_d_d_ : fft_m_d_;
-          if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-          return *slot;
-        } else {
-          auto& slot = adjoint ? fft_d_f_ : fft_m_f_;
-          if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-          return *slot;
-        }
-      }();
+      auto& plan = fft_plan<S2>(/*param_side=*/!adjoint);
       const S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
       C2* spec = spec_set[par]->get<C2>(*dev_, cmax * ns_in * nf);
       plan.forward_on(sa, padded, L, spec, nf, /*batch_multiplier=*/cb);
@@ -704,17 +486,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     dispatch1(p4, [&](auto tag4) {
       using S4 = decltype(tag4);
       using C4 = std::complex<S4>;
-      auto& plan = [&]() -> fft::BatchedRealFft<S4>& {
-        if constexpr (std::is_same_v<S4, double>) {
-          auto& slot = adjoint ? fft_m_d_ : fft_d_d_;
-          if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-          return *slot;
-        } else {
-          auto& slot = adjoint ? fft_m_f_ : fft_d_f_;
-          if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-          return *slot;
-        }
-      }();
+      auto& plan = fft_plan<S4>(/*param_side=*/adjoint);
       const C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
       S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
       plan.inverse_on(sa, ospec, nf, opad, L, /*batch_multiplier=*/cb);
@@ -726,6 +498,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     trace_phase(sa, "ifft", i, cb, t0);
     timings_.ifft += sa.now() - t0;
     t0 = sa.now();
+    double comm_s = 0.0;
     for (index_t r = lo; r < hi; ++r) {
       dispatch2(p4, p5, [&](auto tag4, auto tag5) {
         using S4 = decltype(tag4);
@@ -743,19 +516,37 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       });
       dispatch1(p5, [&](auto tag5) {
         using S5 = decltype(tag5);
-        S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-        double* out = outputs[r].data();
-        if (out != nullptr || dev_->phantom()) {
+        const S5* result = olocal_.get<S5>(*dev_, nt * ns_out);
+        if (sink != nullptr) {
+          S5* dst;
           if constexpr (std::is_same_v<S5, double>) {
-            sa.copy(olocal, out, nt * ns_out);
+            dst = sink->d;
           } else {
-            precision::convert_array(sa, olocal, out, nt * ns_out);
+            dst = sink->f;
+          }
+          sa.copy(result, dst, nt * ns_out);
+          return;
+        }
+        if (reduce != nullptr) {
+          S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
+          reduce->reduce_sum(result, recv, nt * ns_out, 0);
+          sa.advance(coll.reduce_s);
+          comm_s += coll.reduce_s;
+          result = recv;
+        }
+        const VectorView out = outputs[r];
+        if (out_root && (!out.empty() || dev_->phantom())) {
+          if constexpr (std::is_same_v<S5, double>) {
+            sa.copy(result, out.data(), nt * ns_out);
+          } else {
+            precision::convert_array(sa, result, out.data(), nt * ns_out);
           }
         }
       });
     }
     trace_phase(sa, "unpad", i, cb, t0);
-    timings_.unpad += sa.now() - t0;
+    timings_.unpad += sa.now() - t0 - comm_s;
+    timings_.comm += comm_s;
   };
 
   stage1(0);

@@ -1,19 +1,24 @@
 // The FFTMatvec execution plan: five-phase mixed-precision matvecs
 // with a block-triangular Toeplitz operator (paper §2.4, §3.2).
 //
-// Forward (F) matvec on rank (r, c) of a p_r x p_c grid:
-//   1. broadcast the local parameter chunk over the grid column in
-//      the phase-1 precision, then fused TOSI->SOTI transpose +
-//      zero-pad (+cast to the FFT precision),
-//   2. batched real FFT (n_m_local sequences of length 2 N_t),
+// One stage executor runs every apply.  Forward (F) matvec of b
+// right-hand sides on rank (r, c) of a p_r x p_c grid:
+//   1. per RHS, the fused TOSI->SOTI transpose + zero-pad (+cast to
+//      the FFT precision); a grid apply first stages the local
+//      parameter chunk in the phase-1 precision and broadcasts it over
+//      the grid column,
+//   2. one batched real FFT (b * n_m_local sequences of length 2 N_t),
 //   3. Fourier-space reorder, strided batched GEMV over the N_t + 1
 //      frequency blocks, reorder back — the reorders are charged to
 //      the SBGEMV phase exactly as the artifact's timing output does,
-//   4. batched inverse real FFT (n_d_local sequences),
-//   5. fused unpad + SOTI->TOSI transpose, tree reduction of partial
-//      outputs over the grid row, final cast to double.
+//   4. one batched inverse real FFT (b * n_d_local sequences),
+//   5. per RHS, the fused unpad + SOTI->TOSI transpose and the final
+//      cast to double; a grid apply tree-reduces the partial outputs
+//      over the grid row before that cast.
 // The adjoint (F*) matvec mirrors the pipeline with the conjugate-
-// transpose SBGEMV and broadcast/reduce roles swapped.
+// transpose SBGEMV and broadcast/reduce roles swapped.  forward(),
+// adjoint() and the *_partial spellings are the b = 1 case; only they
+// take the grid stages (a RankComms) or a partial sink.
 //
 // Precision semantics (§3.2): input/output are always double; each
 // phase computes in its configured precision; casts occur where the
@@ -34,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "blas/sbgemv.hpp"
@@ -73,10 +79,8 @@ struct PhaseTimings {
 
   double compute_total() const { return pad + fft + sbgemv + ifft + unpad; }
   double total() const { return compute_total() + comm; }
-  /// End-to-end simulated duration: the recorded makespan, falling
-  /// back to the busy total for timings that predate pipelining
-  /// (zero-initialised accumulators).
-  double span() const { return makespan > 0.0 ? makespan : total(); }
+  /// End-to-end simulated duration (every apply records makespan).
+  double span() const { return makespan; }
 
   PhaseTimings& operator+=(const PhaseTimings& o);
   PhaseTimings& operator*=(double s);
@@ -163,10 +167,16 @@ class FftMatvecPlan {
   device::Stream& stream() const { return *stream_; }
   const MatvecOptions& options() const { return options_; }
 
-  /// d = F m.  `m` is the rank-local TOSI chunk (N_t x n_m_local,
+  /// d = F m: the b = 1 case of apply_batch, plus the optional grid
+  /// stages.  `m` is the rank-local TOSI chunk (N_t x n_m_local,
   /// significant on the grid-column root), `d` receives the local
   /// TOSI result (N_t x n_d_local, valid on the grid-row root).
-  /// Single-rank when `comms == nullptr`.
+  /// Single-rank when `comms == nullptr`; otherwise the input is
+  /// broadcast before phase 1 and the partials reduced after phase 5,
+  /// both charged to PhaseTimings::comm.  Extents are checked on the
+  /// roots only.  Like any batch, it consults the grouped SBGEMV's
+  /// silent-corruption hook (FaultStats::buffer_writes counts it) and
+  /// leaves one share in last_batch_timings().
   void forward(const BlockToeplitzOperator& op, std::span<const double> m,
                std::span<double> d, const precision::PrecisionConfig& config,
                comm::RankComms* comms = nullptr);
@@ -177,15 +187,16 @@ class FftMatvecPlan {
                comm::RankComms* comms = nullptr);
 
   /// Execute b same-shape right-hand sides as ONE fused pipeline
-  /// (single-rank only): the phase-1/5 transposes loop over the RHS
-  /// dimension, the phase-2/4 real FFTs run the cached plan with a
-  /// runtime batch multiplier (b * n_s sequences in one launch), and
-  /// phase 3 is a single multi-RHS strided batched GEMV that pays the
-  /// operator's matrix traffic once per frequency block instead of
-  /// once per request.  Results are bit-identical to b independent
-  /// forward()/adjoint() calls for every precision config; b == 1 is
-  /// the degenerate case.  last_timings() afterwards holds the totals
-  /// for the whole batch and last_batch_timings() the per-RHS shares.
+  /// (single-rank; the executor behind every apply): the phase-1/5
+  /// transposes loop over the RHS dimension, the phase-2/4 real FFTs
+  /// run the cached plan with a runtime batch multiplier (b * n_s
+  /// sequences in one launch), and phase 3 is a single multi-RHS
+  /// strided batched GEMV that pays the operator's matrix traffic
+  /// once per frequency block instead of once per request.  Results
+  /// are bit-identical to b independent forward()/adjoint() calls for
+  /// every precision config; b == 1 is the degenerate case.
+  /// last_timings() afterwards holds the totals for the whole batch
+  /// and last_batch_timings() the per-RHS shares.
   /// `pipeline` requests chunked dual-stream execution (bit-identical
   /// outputs, lower makespan — see BatchPipeline).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
@@ -196,8 +207,8 @@ class FftMatvecPlan {
 
   /// One operator's contiguous slice of a grouped batch: `rhs_count`
   /// right-hand sides applied through `op`.  Every group's operator
-  /// must share this plan's LocalDims (same-shape requests from
-  /// different tenants).
+  /// must share this plan's local shape (n_t, n_m_local, n_d_local):
+  /// same-shape requests from different tenants, or same-shape ranks.
   struct OperatorGroup {
     const BlockToeplitzOperator* op = nullptr;
     index_t rhs_count = 0;
@@ -232,9 +243,9 @@ class FftMatvecPlan {
     double* d = nullptr;
   };
 
-  /// Run phases 1-4 plus the local unpad/transpose and deposit the
-  /// partial (n_t x n_d_local) into `sink`; no reduction, no final
-  /// cast.
+  /// The b = 1 apply with the phase-5 partial (n_t x n_d_local, in
+  /// the phase-5 precision) copied into `sink` in place of the
+  /// reduction and final cast.
   void forward_partial(const BlockToeplitzOperator& op,
                        std::span<const double> m, const PartialSink& sink,
                        const precision::PrecisionConfig& config);
@@ -248,8 +259,9 @@ class FftMatvecPlan {
   /// whole batch's totals).
   const PhaseTimings& last_timings() const { return timings_; }
 
-  /// Per-RHS attribution of the most recent apply_batch's totals
-  /// (size = the batch's RHS count; valid until the next apply).
+  /// Per-RHS attribution of the most recent apply's totals (size =
+  /// the batch's RHS count, one share after a single-RHS apply;
+  /// valid until the next apply).
   /// Phases 1/2/4/5 split evenly — every RHS is the same shape — but
   /// the SBGEMV phase splits by modelled work: the GEMV launch's time
   /// is shared across groups in proportion to each group's share of
@@ -269,27 +281,48 @@ class FftMatvecPlan {
   std::int64_t executions() const { return executions_; }
 
  private:
-  struct DualReal {
-    std::optional<device::device_vector<double>> d;
-    std::optional<device::device_vector<float>> f;
+  /// A workspace in both precisions, grown on demand (max-size
+  /// semantics): get<D>() or get<F>() returns at least n elements.
+  template <class D, class F>
+  struct Dual {
+    std::optional<device::device_vector<D>> d;
+    std::optional<device::device_vector<F>> f;
     template <class T>
-    T* get(device::Device& dev, index_t n);
+    T* get(device::Device& dev, index_t n) {
+      auto& slot = [&]() -> auto& {
+        if constexpr (std::is_same_v<T, D>) {
+          return d;
+        } else {
+          static_assert(std::is_same_v<T, F>, "Dual holds D or F");
+          return f;
+        }
+      }();
+      if (!slot || slot->size() < n) slot.emplace(dev, n);
+      return slot->data();
+    }
   };
-  struct DualComplex {
-    std::optional<device::device_vector<cdouble>> d;
-    std::optional<device::device_vector<cfloat>> f;
-    template <class T>
-    T* get(device::Device& dev, index_t n);
-  };
+  using DualReal = Dual<double, float>;
+  using DualComplex = Dual<cdouble, cfloat>;
 
-  /// Shared implementation of forward/adjoint (`adjoint` flips the
-  /// sensor/parameter roles and uses the conjugate-transpose GEMV).
-  /// When `partial` is set, the pipeline stops after the local
-  /// unpad/transpose and deposits the phase-5 partial there.
-  void apply(const BlockToeplitzOperator& op, std::span<const double> in,
-             std::span<double> out, const precision::PrecisionConfig& config,
-             comm::RankComms* comms, bool adjoint,
-             const PartialSink* partial = nullptr);
+  /// The stage executor behind every apply.  `comms` (grid stages)
+  /// and `sink` (partial output) are set only by the single-RHS
+  /// spellings.
+  void execute(std::span<const OperatorGroup> groups, ApplyDirection direction,
+               const precision::PrecisionConfig& config,
+               std::span<const ConstVectorView> inputs,
+               std::span<const VectorView> outputs,
+               const BatchPipeline& pipeline, comm::RankComms* comms,
+               const PartialSink* sink);
+
+  void apply_single(const BlockToeplitzOperator& op, ApplyDirection direction,
+                    std::span<const double> in, std::span<double> out,
+                    const precision::PrecisionConfig& config,
+                    comm::RankComms* comms, const PartialSink* sink);
+
+  /// Cached real-FFT plan in precision S over the parameter-side
+  /// (n_m_local) or sensor-side (n_d_local) sequences; built lazily.
+  template <class S>
+  fft::BatchedRealFft<S>& fft_plan(bool param_side);
 
   device::Device* dev_;
   device::Stream* stream_;
@@ -299,12 +332,12 @@ class FftMatvecPlan {
   std::vector<PhaseTimings> rhs_timings_;
   std::int64_t executions_ = 0;
 
-  // FFT plans per (precision, batch-role); built lazily.
-  std::optional<fft::BatchedRealFft<double>> fft_m_d_, fft_d_d_;
-  std::optional<fft::BatchedRealFft<float>> fft_m_f_, fft_d_f_;
+  // FFT plans per precision, indexed by fft_plan's param_side.
+  std::optional<fft::BatchedRealFft<double>> fft_d_[2];
+  std::optional<fft::BatchedRealFft<float>> fft_f_[2];
 
   // Pipeline buffers (shared between directions, max-size semantics).
-  DualReal bcast_;     ///< phase-1 staging of the broadcast input
+  DualReal bcast_;     ///< phase-1 staging copy/cast (broadcast payload)
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)

@@ -1,5 +1,6 @@
 #include "device/fault_plan.hpp"
 
+#include <cmath>
 #include <string>
 
 namespace fftmv::device {
@@ -38,6 +39,20 @@ SilentCorruption::SilentCorruption(const std::string& site,
     : std::runtime_error("silent data corruption detected at " + site + ": " +
                          detail),
       site_(site) {}
+
+void VerifyFailure::check(index_t at_entry, index_t at_sub, double at_diff,
+                          double at_bound) {
+  if (!(at_diff <= at_bound) || !std::isfinite(at_bound)) {
+    count.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard lock(mutex);
+    if (entry < 0 || at_entry < entry || (at_entry == entry && at_sub < sub)) {
+      entry = at_entry;
+      sub = at_sub;
+      diff = at_diff;
+      bound = at_bound;
+    }
+  }
+}
 
 FaultPlan::FaultPlan(FaultPlanOptions options) : options_(options) {
   for (const double rate :

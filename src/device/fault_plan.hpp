@@ -34,6 +34,7 @@
 // never perturbed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -70,6 +71,25 @@ class SilentCorruption : public std::runtime_error {
 
  private:
   std::string site_;
+};
+
+/// Failure record of one ABFT verify launch, shared by its parallel
+/// gridblocks.  `count` tallies every failing check; the numbers kept
+/// are those of the lowest (entry, sub) key, so the SilentCorruption
+/// message is the same on every replay.
+struct VerifyFailure {
+  std::atomic<int> count{0};
+  index_t entry = -1;
+  index_t sub = -1;
+  double diff = 0.0;
+  double bound = 0.0;
+  std::mutex mutex;  ///< guards the fields after `count`
+
+  /// One invariant check: fails on !(diff <= bound), so a NaN
+  /// difference trips, and on a non-finite bound (an Inf/NaN among
+  /// the magnitudes), so a non-finite result never passes.
+  void check(index_t at_entry, index_t at_sub, double at_diff,
+             double at_bound);
 };
 
 struct FaultPlanOptions {

@@ -94,14 +94,8 @@ class BatchedRealFft {
                                           index_t batch_multiplier,
                                           double tolerance,
                                           const char* site) const {
-    struct Failure {
-      int count = 0;
-      index_t seq = -1;
-      double diff = 0.0;
-      double bound = 0.0;
-    };
-    Failure fail;
-    Failure* fail_ptr = &fail;
+    device::VerifyFailure fail;
+    device::VerifyFailure* fail_ptr = &fail;
     const index_t L = engine_.length();
     const index_t half = L / 2;
     const auto timing = stream.launch(
@@ -120,23 +114,16 @@ class BatchedRealFft {
             e_spec += 2.0 * std::norm(std::complex<double>(s[k]));
           }
           e_spec /= static_cast<double>(L);
-          const double diff = std::abs(e_time - e_spec);
-          const double bound = tolerance * (e_time + e_spec);
-          if (diff > bound) {
-            if (fail_ptr->count++ == 0) {
-              fail_ptr->seq = bx;
-              fail_ptr->diff = diff;
-              fail_ptr->bound = bound;
-            }
-          }
+          fail_ptr->check(bx, 0, std::abs(e_time - e_spec),
+                          tolerance * (e_time + e_spec));
         });
     if (!stream.device().phantom() && fail.count > 0) {
       throw device::SilentCorruption(
-          site, "sequence " + std::to_string(fail.seq) +
+          site, "sequence " + std::to_string(fail.entry) +
                     ": |energy(time) - energy(spectrum)| = " +
                     std::to_string(fail.diff) + " exceeds bound " +
                     std::to_string(fail.bound) + " (" +
-                    std::to_string(fail.count) + " failing sequence(s))");
+                    std::to_string(fail.count.load()) + " failing sequence(s))");
     }
     return timing;
   }

@@ -27,7 +27,8 @@ enum class ErrorCode : unsigned char {
   /// ABFT verification detected silent data corruption and the
   /// recompute budget could not produce a clean result.  Transient
   /// corruption retries successfully, so a surfaced instance means
-  /// either persistent corruption or a miscalibrated tolerance.
+  /// persistent corruption, a miscalibrated tolerance, or a
+  /// non-finite input (every attempt's checks trip on its Inf/NaN).
   kSilentCorruption,
   /// Unclassified dispatch failure (a bug, not an injected fault).
   kInternal,

@@ -211,6 +211,65 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GridShapes,
                                   std::to_string(info.param.second);
                          });
 
+// Each rank of a threaded grid apply charges exactly the cost model's
+// broadcast + reduce, and a serial apply's makespan is its total.
+TEST(GridTimings, CommIsModelledCollectivesAndMakespanIsTotal) {
+  const auto p = make_global(24, 4, 16, 510);
+  const index_t p_rows = 2, p_cols = 2;
+  const comm::ProcessGrid grid(p_rows, p_cols);
+  for (const char* cfg_str : {"ddddd", "sssss", "sdddd"}) {
+    const auto cfg = PrecisionConfig::parse(cfg_str);
+    for (bool adjoint : {false, true}) {
+      std::mutex mu;
+      std::vector<std::pair<PhaseTimings, comm::MatvecCollectives>> ranks;
+      comm::run_on_grid(p_rows, p_cols, [&](comm::RankComms& comms) {
+        static util::ThreadPool inline_pool(1);
+        device::Device dev(device::make_mi300x(), &inline_pool);
+        device::Stream stream(dev);
+        const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
+        BlockToeplitzOperator op(dev, stream, local,
+                                 slice_first_block_col(p.dims, local, p.first_col));
+        FftMatvecPlan plan(dev, stream, local);
+        const index_t ns_in = adjoint ? local.n_d_local : local.n_m_local;
+        const index_t ns_out = adjoint ? local.n_m_local : local.n_d_local;
+        const bool bcast_root =
+            (adjoint ? comms.grid_row : comms.grid_col).rank() == 0;
+        const bool reduce_root =
+            (adjoint ? comms.grid_col : comms.grid_row).rank() == 0;
+        std::vector<double> in, out;
+        if (bcast_root) in = make_input_vector(p.dims.n_t * ns_in, 511);
+        if (reduce_root) out.resize(static_cast<std::size_t>(p.dims.n_t * ns_out));
+        if (adjoint) {
+          plan.adjoint(op, in, out, cfg, &comms);
+        } else {
+          plan.forward(op, in, out, cfg, &comms);
+        }
+        const auto width = [](precision::Precision q) {
+          return q == precision::Precision::kSingle ? 4.0 : 8.0;
+        };
+        const auto coll = comm::CommCostModel(plan.options().network)
+                              .matvec_collectives(
+                                  p_rows, p_cols, adjoint,
+                                  static_cast<double>(p.dims.n_t * ns_in) *
+                                      width(cfg.phase(precision::kPhasePad)),
+                                  static_cast<double>(p.dims.n_t * ns_out) *
+                                      width(cfg.phase(precision::kPhaseUnpad)));
+        std::lock_guard lock(mu);
+        ranks.emplace_back(plan.last_timings(), coll);
+      });
+      ASSERT_EQ(ranks.size(), 4u);
+      for (const auto& [t, coll] : ranks) {
+        EXPECT_GT(coll.broadcast_s, 0.0);
+        EXPECT_GT(coll.reduce_s, 0.0);
+        EXPECT_DOUBLE_EQ(t.comm, coll.broadcast_s + coll.reduce_s)
+            << cfg_str << (adjoint ? " F*" : " F");
+        EXPECT_NEAR(t.makespan, t.total(), 1e-12 * t.total())
+            << cfg_str << (adjoint ? " F*" : " F");
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- lockstep ==
 TEST(Lockstep, BitIdenticalToThreadedBackend) {
   const auto p = make_global(16, 4, 8, 700);
@@ -374,8 +433,11 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
   return run;
 }
 
+// The config is held as a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would put an ASLR-dependent
+// value into every test's listed name.
 class ShardedApply
-    : public ::testing::TestWithParam<std::pair<index_t, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<index_t, std::string>> {};
 
 TEST_P(ShardedApply, ForwardBitIdenticalToSingleRank) {
   const auto [ranks, cfg_str] = GetParam();
@@ -401,15 +463,15 @@ TEST_P(ShardedApply, AdjointBitIdenticalToSingleRank) {
 
 INSTANTIATE_TEST_SUITE_P(
     RanksAndConfigs, ShardedApply,
-    ::testing::Values(std::make_pair<index_t, const char*>(2, "ddddd"),
-                      std::make_pair<index_t, const char*>(2, "dssdd"),
-                      std::make_pair<index_t, const char*>(2, "sssss"),
-                      std::make_pair<index_t, const char*>(2, "dssds"),
+    ::testing::Values(std::make_pair<index_t, std::string>(2, "ddddd"),
+                      std::make_pair<index_t, std::string>(2, "dssdd"),
+                      std::make_pair<index_t, std::string>(2, "sssss"),
+                      std::make_pair<index_t, std::string>(2, "dssds"),
                       // 3 ranks over n_d = 4: ragged forward split
-                      std::make_pair<index_t, const char*>(3, "ddddd"),
-                      std::make_pair<index_t, const char*>(3, "sssss"),
-                      std::make_pair<index_t, const char*>(4, "ddddd"),
-                      std::make_pair<index_t, const char*>(4, "dssds")),
+                      std::make_pair<index_t, std::string>(3, "ddddd"),
+                      std::make_pair<index_t, std::string>(3, "sssss"),
+                      std::make_pair<index_t, std::string>(4, "ddddd"),
+                      std::make_pair<index_t, std::string>(4, "dssds")),
     [](const auto& info) {
       return std::string("r") + std::to_string(info.param.first) + "_" +
              info.param.second;

@@ -984,5 +984,121 @@ TEST_F(MatvecFixture, ApplyBatchValidatesSpans) {
                std::invalid_argument);
 }
 
+// ------------------------------- single-RHS spellings == b=1 batch
+bool rel_near(double a, double b) {
+  return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
+}
+
+/// Every PhaseTimings field equal within 1e-12 relative; `phase5` off
+/// skips unpad/makespan (a partial sink copies where a full apply
+/// casts to double).
+void expect_timings_match(const PhaseTimings& a, const PhaseTimings& b,
+                          const std::string& ctx, bool phase5 = true) {
+  EXPECT_PRED2(rel_near, a.pad, b.pad) << ctx;
+  EXPECT_PRED2(rel_near, a.fft, b.fft) << ctx;
+  EXPECT_PRED2(rel_near, a.sbgemv, b.sbgemv) << ctx;
+  EXPECT_PRED2(rel_near, a.ifft, b.ifft) << ctx;
+  EXPECT_PRED2(rel_near, a.comm, b.comm) << ctx;
+  if (phase5) {
+    EXPECT_PRED2(rel_near, a.unpad, b.unpad) << ctx;
+    EXPECT_PRED2(rel_near, a.makespan, b.makespan) << ctx;
+  }
+}
+
+TEST(SingleRhsIsBatchOfOne, OutputsAndTimingsMatchForAllConfigs) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  auto p = make_problem(40, 6, 24, 131);
+  const auto local = LocalDims::single_rank(p.dims);
+  BlockToeplitzOperator op(dev, stream, local, p.first_col);
+  op.spectrum_f(stream);  // warm the one-time cast outside every apply
+  for (bool fuse : {true, false}) {
+    MatvecOptions opts;
+    opts.fuse_casts = fuse;
+    // One stream per plan, so both clocks advance through identical
+    // histories and their differences round identically.
+    device::Stream s_single(dev), s_batch(dev);
+    FftMatvecPlan single(dev, s_single, local, opts);
+    FftMatvecPlan batch(dev, s_batch, local, opts);
+    for (const auto& cfg : PrecisionConfig::all_configs()) {
+      for (bool adjoint : {false, true}) {
+        const std::string ctx = cfg.to_string() + (adjoint ? " F*" : " F") +
+                                (fuse ? " fused" : " unfused");
+        const auto& in = adjoint ? p.d : p.m;
+        const auto out_len = static_cast<std::size_t>(
+            p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d));
+        std::vector<double> got(out_len), want(out_len);
+        if (adjoint) {
+          single.adjoint(op, in, got, cfg);
+        } else {
+          single.forward(op, in, got, cfg);
+        }
+        const PhaseTimings t_single = single.last_timings();
+        const ConstVectorView ins[] = {in};
+        const VectorView outs[] = {want};
+        batch.apply_batch(op,
+                          adjoint ? ApplyDirection::kAdjoint
+                                  : ApplyDirection::kForward,
+                          cfg, ins, outs);
+        EXPECT_EQ(got, want) << ctx;
+        expect_timings_match(t_single, batch.last_timings(), ctx);
+
+        // The partial sink receives the batch's phase-5 partial: in the
+        // phase-5 precision, before the final cast to double.
+        const bool p5_single =
+            cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle;
+        std::vector<double> part_d(out_len);
+        std::vector<float> part_f(out_len);
+        FftMatvecPlan::PartialSink sink;
+        if (p5_single) {
+          sink.f = part_f.data();
+        } else {
+          sink.d = part_d.data();
+        }
+        if (adjoint) {
+          single.adjoint_partial(op, in, sink, cfg);
+        } else {
+          single.forward_partial(op, in, sink, cfg);
+        }
+        if (p5_single) {
+          part_d.assign(part_f.begin(), part_f.end());
+        }
+        EXPECT_EQ(part_d, want) << ctx << " partial";
+        expect_timings_match(single.last_timings(), batch.last_timings(),
+                             ctx + " partial", /*phase5=*/false);
+      }
+    }
+  }
+}
+
+TEST(SingleRhsIsBatchOfOne, PhantomPaperScaleTimingsMatch) {
+  device::Device dev(device::make_mi300x(), &util::ThreadPool::global(),
+                     /*phantom=*/true);
+  device::Stream stream(dev);
+  const auto local = LocalDims::single_rank(ProblemDims{5000, 100, 1000});
+  BlockToeplitzOperator op(dev, stream, local, {});
+  op.spectrum_f(stream);
+  device::Stream s_single(dev), s_batch(dev);
+  FftMatvecPlan single(dev, s_single, local);
+  FftMatvecPlan batch(dev, s_batch, local);
+  std::vector<double> empty;
+  const ConstVectorView ins[] = {ConstVectorView{}};
+  const VectorView outs[] = {VectorView{}};
+  for (const auto& cfg : PrecisionConfig::all_configs()) {
+    for (bool adjoint : {false, true}) {
+      if (adjoint) {
+        single.adjoint(op, {}, empty, cfg);
+      } else {
+        single.forward(op, {}, empty, cfg);
+      }
+      batch.apply_batch(
+          op, adjoint ? ApplyDirection::kAdjoint : ApplyDirection::kForward,
+          cfg, ins, outs);
+      expect_timings_match(single.last_timings(), batch.last_timings(),
+                           cfg.to_string() + (adjoint ? " F*" : " F"));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fftmv::core

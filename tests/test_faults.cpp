@@ -11,10 +11,13 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "blas/sbgemv.hpp"
 #include "comm/fault.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/matvec_plan.hpp"
@@ -443,6 +446,171 @@ TEST(AbftParseval, EnergyInvariantCatchesSpectrumCorruption) {
   } catch (const device::SilentCorruption& e) {
     EXPECT_EQ(e.site(), "unit");
   }
+}
+
+// Every failing column counts, and the message names the LOWEST
+// failing batch entry, whichever gridblock of the parallel verify
+// launch reaches it first.
+TEST(AbftChecksum, FailureRecordCountsAllAndReportsLowestEntry) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t n = 4, batch = 8;
+  const auto a = core::make_input_vector(n * n * batch, 91);
+  const auto x = core::make_input_vector(n * batch, 92);
+  std::vector<double> y(static_cast<std::size_t>(n * batch));
+  // Column-sum checksum rows, wrong in batch entries 5 and 2.
+  std::vector<double> checksum(static_cast<std::size_t>(n * batch), 0.0);
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        checksum[static_cast<std::size_t>(b * n + j)] +=
+            a[static_cast<std::size_t>(b * n * n + j * n + i)];
+      }
+    }
+  }
+  checksum[static_cast<std::size_t>(5 * n + 1)] += 1.0;
+  checksum[static_cast<std::size_t>(2 * n + 3)] -= 1.0;
+
+  blas::SbgemvGroupedArgs<double> ga;
+  ga.base.op = blas::Op::N;
+  ga.base.m = n;
+  ga.base.n = n;
+  ga.base.lda = n;
+  ga.base.stride_a = n * n;
+  ga.base.x = x.data();
+  ga.base.stride_x = n;
+  ga.base.y = y.data();
+  ga.base.stride_y = n;
+  ga.base.batch = batch;
+  ga.rhs_stride_x = n;
+  ga.rhs_stride_y = n;
+  const blas::SbgemvGroup<double> group[] = {{a.data(), 1, checksum.data()}};
+  ga.groups = group;
+  std::vector<double> dots(static_cast<std::size_t>(batch));
+  std::vector<double> scales(dots.size());
+  blas::SbgemvVerify<double> verify;
+  verify.enabled = true;
+  verify.checksum_out = dots.data();
+  verify.scale_out = scales.data();
+  verify.tolerance = 1e-12;
+  for (int rep = 0; rep < 8; ++rep) {
+    try {
+      blas::sbgemv_grouped(stream, ga, blas::GemvKernelPolicy::kAuto, verify);
+      FAIL() << "wrong checksum rows passed verification";
+    } catch (const device::SilentCorruption& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("batch entry 2, rhs 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("(2 failing column(s))"), std::string::npos) << msg;
+    }
+  }
+}
+
+// Sweep of seeded single top-exponent-bit flips in the phase-3 output
+// (64x6x32, b = 4, checksum mode): a flip that changes the result must
+// be detected — including the ones that drive it to Inf or NaN.  A
+// flip the pipeline discards (the imaginary part of the DC or Nyquist
+// bin) may pass, but then the output must be bit-identical to clean.
+TEST(AbftChecksum, SeededSingleFlipSweepDetectsEveryOutputChange) {
+  const core::ProblemDims dims{64, 6, 32};
+  const auto local = core::LocalDims::single_rank(dims);
+  const index_t b = 4;
+  core::BatchPipeline checksum;
+  checksum.verify = core::VerifyMode::kChecksum;
+  int flips = 0, detected = 0, missed = 0;
+  for (const char* cfg_str : {"ddddd", "dssdd"}) {
+    const auto config = precision::PrecisionConfig::parse(cfg_str);
+    for (const auto direction :
+         {core::ApplyDirection::kForward, core::ApplyDirection::kAdjoint}) {
+      const bool forward = direction == core::ApplyDirection::kForward;
+      device::Device dev(device::make_mi300x());
+      device::Stream stream(dev);
+      core::BlockToeplitzOperator op(dev, stream, local,
+                                     core::make_first_block_col(local, 61));
+      core::FftMatvecPlan plan(dev, stream, local);
+      const index_t in_len = dims.n_t * (forward ? dims.n_m : dims.n_d);
+      const index_t out_len = dims.n_t * (forward ? dims.n_d : dims.n_m);
+      std::vector<std::vector<double>> inputs, clean, out;
+      for (index_t r = 0; r < b; ++r) {
+        inputs.push_back(core::make_input_vector(in_len, 62 + static_cast<std::uint64_t>(r)));
+      }
+      clean.assign(static_cast<std::size_t>(b),
+                   std::vector<double>(static_cast<std::size_t>(out_len)));
+      out = clean;
+      const std::vector<core::ConstVectorView> ins(inputs.begin(), inputs.end());
+      const std::vector<core::VectorView> clean_outs(clean.begin(), clean.end());
+      const std::vector<core::VectorView> outs(out.begin(), out.end());
+      plan.apply_batch(op, direction, config, ins, clean_outs, checksum);
+      for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+        FaultPlanOptions fo;
+        fo.seed = seed;
+        auto faults = std::make_shared<FaultPlan>(fo);
+        faults->fail_buffer_writes(0, 1);
+        dev.set_fault_plan(faults);
+        ++flips;
+        try {
+          plan.apply_batch(op, direction, config, ins, outs, checksum);
+          if (out != clean) ++missed;
+        } catch (const device::SilentCorruption&) {
+          ++detected;
+        }
+        ASSERT_EQ(faults->stats().buffer_faults, 1u);
+      }
+      dev.set_fault_plan(nullptr);
+    }
+  }
+  EXPECT_GE(flips, 1000);
+  EXPECT_EQ(missed, 0) << detected << " of " << flips << " flips detected";
+  EXPECT_GT(detected, flips * 9 / 10);
+}
+
+// With verification on, a non-finite input trips the checksum compare
+// on every attempt (the serve layer surfaces kSilentCorruption).
+TEST(AbftChecksum, NonFiniteInputTripsChecksum) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const auto local = core::LocalDims::single_rank(small_dims());
+  core::BlockToeplitzOperator op(dev, stream, local,
+                                 core::make_first_block_col(local, 7));
+  core::FftMatvecPlan plan(dev, stream, local);
+  core::BatchPipeline checksum;
+  checksum.verify = core::VerifyMode::kChecksum;
+  std::vector<double> out(static_cast<std::size_t>(local.n_t() * local.n_d_local));
+  const std::vector<core::VectorView> outs{core::VectorView(out)};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    auto m = core::make_input_vector(local.n_t() * local.n_m_local, 8);
+    m[5] = bad;
+    const std::vector<core::ConstVectorView> ins{core::ConstVectorView(m)};
+    EXPECT_THROW(plan.apply_batch(op, core::ApplyDirection::kForward, {}, ins,
+                                  outs, checksum),
+                 device::SilentCorruption)
+        << bad;
+  }
+}
+
+// forward() is a b = 1 batch, so it meets the grouped SBGEMV's
+// buffer-write hook: a scripted window corrupts its output.
+TEST(AbftChecksum, BufferWriteWindowFiresOnForward) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const auto local = core::LocalDims::single_rank(small_dims());
+  core::BlockToeplitzOperator op(dev, stream, local,
+                                 core::make_first_block_col(local, 7));
+  core::FftMatvecPlan plan(dev, stream, local);
+  const auto m = core::make_input_vector(local.n_t() * local.n_m_local, 8);
+  std::vector<double> clean(static_cast<std::size_t>(local.n_t() * local.n_d_local));
+  plan.forward(op, m, clean, {});
+
+  auto faults = std::make_shared<FaultPlan>();
+  faults->fail_buffer_writes(0, 1);
+  dev.set_fault_plan(faults);
+  std::vector<double> out(clean.size());
+  plan.forward(op, m, out, {});
+  EXPECT_EQ(faults->stats().buffer_writes, 1u);
+  EXPECT_EQ(faults->stats().buffer_faults, 1u);
+  EXPECT_NE(out, clean);
+  plan.forward(op, m, out, {});  // the window has passed
+  EXPECT_EQ(out, clean);
 }
 
 // -------------------------------------------------- serve retry + quarantine
