@@ -11,10 +11,11 @@
 //  * communication: the alpha-beta collective model (broadcast over
 //    grid columns, reduction over grid rows) in the phase-1/phase-5
 //    precisions;
-//  * relative error: *measured* with real arithmetic by the lockstep
-//    cluster at a reduced per-rank size with the same grid, same
-//    reduction tree and same weak-scaling structure (n_m grows with
-//    p_r), which is what drives the error growth past 512 GPUs.
+//  * relative error: *measured* with real arithmetic by a process-grid
+//    core::DistributedMatvecPlan apply at a reduced per-rank size with
+//    the same grid, same reduction tree and same weak-scaling
+//    structure (n_m grows with p_r), which is what drives the error
+//    growth past 512 GPUs.
 //
 // The grid schedule follows the paper: 1 row up to 512 GPUs, 8 rows
 // at 1,024-2,048, 16 rows at 4,096; the precision schedule follows
@@ -25,7 +26,8 @@
 #include "blas/vector_ops.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/partitioner.hpp"
-#include "core/lockstep_cluster.hpp"
+#include "core/distributed_plan.hpp"
+#include "core/synthetic.hpp"
 
 using namespace fftmv;
 
@@ -70,8 +72,8 @@ double total_time(index_t p, index_t p_rows,
   // Communication: broadcast m_c over the column (p_r ranks), reduce
   // d partials over the row (p_c ranks).  Grid locality and the
   // alpha-beta terms come from comm::CommCostModel::matvec_collectives
-  // — the same path FftMatvecPlan and bench/serve_scaling charge, so
-  // the harnesses cannot drift from the execution model.
+  // — the same path a process-grid core::DistributedMatvecPlan apply
+  // charges, so the harness cannot drift from the execution model.
   const double bytes_m = static_cast<double>(local.n_m_local) *
                          static_cast<double>(global.n_t) *
                          phase_width(cfg, precision::kPhasePad);
@@ -97,11 +99,24 @@ double measured_error(index_t p, index_t p_rows,
   const auto col = core::make_first_block_col(local0, 777);
   const auto m = core::make_input_vector(rdims.n_t * rdims.n_m, 778);
 
-  core::LockstepCluster cluster(dev, stream, rdims, grid, col);
+  // Every rank has the same local shape, so one plan and stream run
+  // the ranks one after another.
+  const core::ShardedOperator op(dev, stream, rdims, grid, col);
+  core::FftMatvecPlan plan(
+      dev, stream, op.rank_dims(core::ApplyDirection::kForward, 0));
+  const std::vector<core::DistributedMatvecPlan::RankLane> lanes(
+      static_cast<std::size_t>(p), {&plan, nullptr});
+  core::DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   std::vector<double> baseline(static_cast<std::size_t>(rdims.n_t * rdims.n_d));
   std::vector<double> mixed(baseline.size());
-  cluster.forward(m, baseline, precision::PrecisionConfig{});
-  cluster.forward(m, mixed, cfg);
+  const core::ConstVectorView in[] = {m};
+  const auto apply = [&](const precision::PrecisionConfig& c,
+                         std::vector<double>& out) {
+    const core::VectorView outs[] = {out};
+    dist.apply_batch(op, core::ApplyDirection::kForward, c, in, outs, lanes);
+  };
+  apply(precision::PrecisionConfig{}, baseline);
+  apply(cfg, mixed);
   return blas::relative_l2_error(static_cast<index_t>(baseline.size()),
                                  mixed.data(), baseline.data());
 }

@@ -140,10 +140,11 @@ int main(int argc, char** argv) {
     }
     std::vector<std::future<serve::MatvecResult>> futures;
     for (int i = 0; i < n_storm; ++i) {
-      futures.push_back(sched.submit(
-          ids[static_cast<std::size_t>(i) % tenants.size()],
-          core::ApplyDirection::kForward, precision::PrecisionConfig{},
-          storm_inputs[static_cast<std::size_t>(i)]));
+      futures.push_back(sched.submit(serve::Request{
+          .tenant = ids[static_cast<std::size_t>(i) % tenants.size()],
+          .direction = core::ApplyDirection::kForward,
+          .config = precision::PrecisionConfig{},
+          .input = storm_inputs[static_cast<std::size_t>(i)]}));
     }
     for (auto& f : futures) out.results.push_back(f.get());
     sched.drain();
@@ -267,9 +268,10 @@ int main(int argc, char** argv) {
         sched.add_tenant(tight_spec.dims, tight_spec.col);
     std::vector<std::future<serve::MatvecResult>> futures;
     for (int i = 0; i < n_flood; ++i) {
-      futures.push_back(sched.submit(flood_id, core::ApplyDirection::kForward,
-                                     precision::PrecisionConfig{},
-                                     flood_input));
+      futures.push_back(sched.submit(serve::Request{.tenant = flood_id,
+                                                    .direction = core::ApplyDirection::kForward,
+                                                    .config = precision::PrecisionConfig{},
+                                                    .input = flood_input}));
     }
     std::vector<std::size_t> tight_at;
     for (int i = 0; i < n_tight; ++i) {
@@ -403,10 +405,11 @@ int main(int argc, char** argv) {
     sched.device().set_fault_plan(plan);
     std::vector<std::future<serve::MatvecResult>> futures;
     for (int i = 0; i < n_storm; ++i) {
-      futures.push_back(sched.submit(
-          ids[static_cast<std::size_t>(i) % tenants.size()],
-          core::ApplyDirection::kForward, precision::PrecisionConfig{},
-          storm_inputs[static_cast<std::size_t>(i)]));
+      futures.push_back(sched.submit(serve::Request{
+          .tenant = ids[static_cast<std::size_t>(i) % tenants.size()],
+          .direction = core::ApplyDirection::kForward,
+          .config = precision::PrecisionConfig{},
+          .input = storm_inputs[static_cast<std::size_t>(i)]}));
     }
     for (auto& f : futures) out.results.push_back(f.get());
     sched.drain();

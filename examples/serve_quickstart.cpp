@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
             << " (96x4x48)\n";
 
   // 3. Submit a mixed burst; every call returns a future immediately.
-  //    serve::Request is the canonical submit form (QoS and future
-  //    request fields live on the struct); the positional overload
-  //    used for tenant_a is shorthand for the same thing.
+  //    serve::Request is the submit form (QoS and future request
+  //    fields live on the struct; omitted fields keep their defaults).
   const auto m_a = core::make_input_vector(dims_a.n_t * dims_a.n_m, 3);
   const auto m_b = core::make_input_vector(dims_b.n_t * dims_b.n_m, 4);
   const auto d_b = core::make_input_vector(dims_b.n_t * dims_b.n_d, 5);
@@ -52,8 +51,11 @@ int main(int argc, char** argv) {
   for (index_t r = 0; r < requests; ++r) {
     switch (r % 3) {
       case 0:
-        futures.push_back(scheduler.submit(tenant_a, core::ApplyDirection::kForward,
-                                           precision::PrecisionConfig{}, m_a));
+        futures.push_back(scheduler.submit(serve::Request{
+            .tenant = tenant_a,
+            .direction = core::ApplyDirection::kForward,
+            .config = precision::PrecisionConfig{},
+            .input = m_a}));
         break;
       case 1:
         futures.push_back(scheduler.submit(serve::Request{
@@ -105,8 +107,10 @@ int main(int argc, char** argv) {
   //    Perfetto — queue-wait spans, per-batch dispatch spans, and the
   //    per-phase device-clock spans of each lane's stream pair.
   util::trace::start();
-  auto traced = scheduler.submit(tenant_a, core::ApplyDirection::kForward,
-                                 precision::PrecisionConfig{}, m_a);
+  auto traced = scheduler.submit(serve::Request{.tenant = tenant_a,
+                                                .direction = core::ApplyDirection::kForward,
+                                                .config = precision::PrecisionConfig{},
+                                                .input = m_a});
   traced.get();
   util::trace::stop();
   if (util::trace::write_file("serve_quickstart_trace.json")) {

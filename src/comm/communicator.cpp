@@ -30,7 +30,7 @@ void Hub::barrier() {
 }
 
 void run_on_grid(index_t p_rows, index_t p_cols,
-                 const std::function<void(RankComms&)>& body) {
+                 const std::function<void(GridComms&)>& body) {
   const ProcessGrid grid(p_rows, p_cols);
   const index_t p = grid.size();
 
@@ -48,7 +48,7 @@ void run_on_grid(index_t p_rows, index_t p_cols,
   threads.reserve(static_cast<std::size_t>(p));
   for (index_t rank = 0; rank < p; ++rank) {
     threads.emplace_back([&, rank] {
-      RankComms comms;
+      GridComms comms;
       comms.world_rank = rank;
       comms.world = GroupComm(world_hub, rank);
       const index_t row = grid.row_of(rank);

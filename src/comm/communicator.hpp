@@ -2,10 +2,11 @@
 //
 // Substitute for NCCL/RCCL + MPI (DESIGN.md §1): each logical rank
 // runs on its own thread and the collectives move real data through
-// shared memory, so distributed-algorithm *numerics* (reduction
-// order, partition-dependent rounding) are exercised for real.
-// Simulated communication *time* is charged separately via
-// CommCostModel by the callers.
+// shared memory.  It is the reference for the distributed matvec's
+// numerics: core::DistributedMatvecPlan runs a grid's ranks one after
+// another and must combine partial outputs exactly as reduce_sum does
+// (the tests run both and compare bits).  Simulated communication
+// *time* is charged separately via CommCostModel by the callers.
 //
 // Reductions combine rank contributions in a fixed pairwise-tree
 // order, matching the log2(p) tree depth assumed by the paper's
@@ -111,8 +112,8 @@ class GroupComm {
 };
 
 /// Per-rank view of the full machine: the world group plus the grid
-/// row and column subgroups used by the distributed matvec.
-struct RankComms {
+/// row and column subgroups a distributed matvec communicates over.
+struct GridComms {
   index_t world_rank = 0;
   GroupComm world;
   GroupComm grid_row;  ///< ranks sharing this rank's grid row (size p_c)
@@ -120,9 +121,9 @@ struct RankComms {
 };
 
 /// Spawn `p_rows * p_cols` rank threads, build world/row/column
-/// groups, and run `body(RankComms&)` on every rank.  The first
+/// groups, and run `body(GridComms&)` on every rank.  The first
 /// exception thrown by any rank is rethrown on the caller.
 void run_on_grid(index_t p_rows, index_t p_cols,
-                 const std::function<void(RankComms&)>& body);
+                 const std::function<void(GridComms&)>& body);
 
 }  // namespace fftmv::comm

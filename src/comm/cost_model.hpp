@@ -72,9 +72,9 @@ class CommCostModel {
   double allreduce_time(index_t q, double bytes, bool within_node) const;
 
   /// Collective cost of one matvec on a p_rows x p_cols grid — THE
-  /// single source of truth for the grid's comm terms, shared by the
-  /// distributed FftMatvecPlan apply and the fig4/serve scaling
-  /// harnesses (duplicating the node-contiguity rules or the alpha-
+  /// single source of truth for the grid's comm terms, shared by
+  /// core::DistributedMatvecPlan's process-grid applies and the fig4
+  /// scaling harness (duplicating the node-contiguity rules or the alpha-
   /// beta constants in a caller is a bug).  Forward broadcasts the
   /// input over the grid column (p_rows ranks) and reduces partial
   /// outputs over the grid row (p_cols ranks); the adjoint mirrors

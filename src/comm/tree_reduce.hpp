@@ -1,9 +1,9 @@
-// Pairwise-tree summation shared by the thread communicator and the
-// lockstep cluster, so both reduction paths combine rank
+// Pairwise-tree summation shared by the thread communicator and
+// core::DistributedMatvecPlan, so both reduction paths combine rank
 // contributions in the identical ((r0+r1)+(r2+r3))+... order — the
 // log2(p)-depth rounding behaviour assumed by the paper's error
 // analysis (§3.2.1) and required for bit-identical results between
-// the threaded and sequential distributed backends.
+// the threaded reference and the distributed executor.
 #pragma once
 
 #include <vector>

@@ -57,10 +57,6 @@ void dispatch2(Precision src, Precision dst, Fn&& fn) {
   dispatch1(src, [&](auto s) { dispatch1(dst, [&](auto d) { fn(s, d); }); });
 }
 
-index_t scalar_width(Precision p) {
-  return p == Precision::kSingle ? 4 : 8;
-}
-
 }  // namespace
 
 template <class S>
@@ -83,41 +79,33 @@ void FftMatvecPlan::apply_single(const BlockToeplitzOperator& op,
                                  ApplyDirection direction,
                                  std::span<const double> in,
                                  std::span<double> out,
-                                 const PrecisionConfig& config,
-                                 comm::RankComms* comms,
-                                 const PartialSink* sink) {
+                                 const PrecisionConfig& config) {
   const OperatorGroup group{&op, 1};
   const ConstVectorView inputs[] = {in};
   const VectorView outputs[] = {out};
-  execute({&group, 1}, direction, config, inputs, outputs, {}, comms, sink);
+  execute({&group, 1}, direction, config, inputs, outputs, {}, nullptr);
 }
 
 void FftMatvecPlan::forward(const BlockToeplitzOperator& op,
                             std::span<const double> m, std::span<double> d,
-                            const PrecisionConfig& config,
-                            comm::RankComms* comms) {
-  apply_single(op, ApplyDirection::kForward, m, d, config, comms, nullptr);
+                            const PrecisionConfig& config) {
+  apply_single(op, ApplyDirection::kForward, m, d, config);
 }
 
 void FftMatvecPlan::adjoint(const BlockToeplitzOperator& op,
                             std::span<const double> d, std::span<double> m,
-                            const PrecisionConfig& config,
-                            comm::RankComms* comms) {
-  apply_single(op, ApplyDirection::kAdjoint, d, m, config, comms, nullptr);
+                            const PrecisionConfig& config) {
+  apply_single(op, ApplyDirection::kAdjoint, d, m, config);
 }
 
-void FftMatvecPlan::forward_partial(const BlockToeplitzOperator& op,
-                                    std::span<const double> m,
-                                    const PartialSink& sink,
-                                    const PrecisionConfig& config) {
-  apply_single(op, ApplyDirection::kForward, m, {}, config, nullptr, &sink);
-}
-
-void FftMatvecPlan::adjoint_partial(const BlockToeplitzOperator& op,
-                                    std::span<const double> d,
-                                    const PartialSink& sink,
-                                    const PrecisionConfig& config) {
-  apply_single(op, ApplyDirection::kAdjoint, d, {}, config, nullptr, &sink);
+void FftMatvecPlan::apply_partial(const BlockToeplitzOperator& op,
+                                  ApplyDirection direction,
+                                  const PrecisionConfig& config,
+                                  std::span<const ConstVectorView> inputs,
+                                  const PartialSink& sink,
+                                  const BatchPipeline& pipeline) {
+  const OperatorGroup group{&op, static_cast<index_t>(inputs.size())};
+  execute({&group, 1}, direction, config, inputs, {}, pipeline, &sink);
 }
 
 void FftMatvecPlan::apply_batch(const BlockToeplitzOperator& op,
@@ -136,8 +124,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
                                 const BatchPipeline& pipeline) {
-  execute(groups, direction, config, inputs, outputs, pipeline, nullptr,
-          nullptr);
+  execute(groups, direction, config, inputs, outputs, pipeline, nullptr);
 }
 
 void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
@@ -146,13 +133,13 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
                             std::span<const ConstVectorView> inputs,
                             std::span<const VectorView> outputs,
                             const BatchPipeline& pipeline,
-                            comm::RankComms* comms, const PartialSink* sink) {
+                            const PartialSink* sink) {
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t b = static_cast<index_t>(inputs.size());
   if (b < 1) {
     throw std::invalid_argument("apply_batch: need at least one right-hand side");
   }
-  if (outputs.size() != inputs.size()) {
+  if (sink == nullptr && outputs.size() != inputs.size()) {
     throw std::invalid_argument("apply_batch: inputs/outputs count mismatch");
   }
   if (groups.empty()) {
@@ -164,11 +151,9 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
       throw std::invalid_argument(
           "apply_batch: every group needs an operator and >= 1 RHS");
     }
-    // Shape, not placement: a lockstep cluster drives every rank's
+    // Shape, not placement: a grid apply may drive every rank's
     // operator (same local shape, different offsets) through one plan.
-    const LocalDims& od = g.op->dims();
-    if (od.n_t() != dims_.n_t() || od.n_m_local != dims_.n_m_local ||
-        od.n_d_local != dims_.n_d_local) {
+    if (!g.op->dims().same_shape(dims_)) {
       throw std::invalid_argument(
           "apply_batch: group operator dims do not match the plan");
     }
@@ -191,46 +176,21 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
   const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
   const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
 
-  // Grid stages of the single-RHS spellings: the input is broadcast
-  // from the root of `bcast` and the partial outputs are summed to the
-  // root of `reduce`, each charged through the comm cost model (the
-  // single source of truth shared with the fig4/serve scaling
-  // harnesses and the serving layer's sharded dispatch).
-  comm::GroupComm* bcast = nullptr;
-  comm::GroupComm* reduce = nullptr;
-  comm::MatvecCollectives coll;
-  if (comms != nullptr) {
-    if (dev_->phantom()) {
-      throw std::logic_error("distributed apply is not supported on a phantom device");
-    }
-    bcast = adjoint ? &comms->grid_row : &comms->grid_col;
-    reduce = adjoint ? &comms->grid_col : &comms->grid_row;
-    coll = comm::CommCostModel(options_.network)
-               .matvec_collectives(
-                   comms->grid_col.size(), comms->grid_row.size(), adjoint,
-                   static_cast<double>(nt * ns_in * scalar_width(p1)),
-                   static_cast<double>(nt * ns_out * scalar_width(p5)));
-  }
-  const bool in_root = bcast == nullptr || bcast->rank() == 0;
-  const bool out_root =
-      sink == nullptr && (reduce == nullptr || reduce->rank() == 0);
-  if (bcast != nullptr && bcast->size() < 2) bcast = nullptr;
-  if (reduce != nullptr && reduce->size() < 2) reduce = nullptr;
-
   if (!dev_->phantom()) {
     for (index_t r = 0; r < b; ++r) {
-      if (in_root && static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
+      if (static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
         throw std::invalid_argument("matvec: input span has wrong extent");
       }
-      if (out_root && static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
+      if (sink == nullptr &&
+          static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
         throw std::invalid_argument("matvec: output span has wrong extent");
       }
     }
-  }
-  if (sink != nullptr &&
-      (p5 == Precision::kDouble ? sink->d == nullptr : sink->f == nullptr)) {
-    throw std::invalid_argument(
-        "PartialSink pointer does not match the phase-5 precision");
+    if (sink != nullptr &&
+        (p5 == Precision::kDouble ? sink->d == nullptr : sink->f == nullptr)) {
+      throw std::invalid_argument(
+          "PartialSink pointer does not match the phase-5 precision");
+    }
   }
 
   // Pipeline-argument validation (before any state mutation, like
@@ -253,15 +213,14 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
   // contiguous chunks (serial execution is the chunks == 1 degenerate
   // case running every stage on the plan's own stream).  Per chunk,
   // three stages:
-  //   stage 1 (stream A): per-RHS staging cast (+ grid broadcast) and
-  //     fused transpose/pad into the RHS-outer padded buffer, then ONE
-  //     batched real FFT over cb * ns_in sequences (runtime batch
-  //     multiplier);
+  //   stage 1 (stream A): per-RHS staging cast and fused transpose/pad
+  //     into the RHS-outer padded buffer, then ONE batched real FFT
+  //     over cb * ns_in sequences (runtime batch multiplier);
   //   stage 2 (stream B): Fourier reorder, grouped multi-RHS SBGEMV,
   //     reorder back — the dominant phase at paper scale;
   //   stage 3 (stream A): ONE batched inverse FFT + per-RHS fused
-  //     unpad/transpose, then (+ grid reduce) the final cast into the
-  //     caller's output views, or the copy into the partial sink.
+  //     unpad/transpose, then the final cast into the caller's output
+  //     views, or the copy into the partial sink.
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -326,32 +285,20 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     const index_t cb = hi - lo;
     const std::size_t par = static_cast<std::size_t>(i % 2);
     double t0 = sa.now();
-    double comm_s = 0.0;
     dispatch2(p1, p2, [&](auto tag1, auto tag2) {
       using S1 = decltype(tag1);
       using S2 = decltype(tag2);
       S2* dst_all = padded_.get<S2>(*dev_, cmax * ns_in * L);
       for (index_t r = lo; r < hi; ++r) {
-        const ConstVectorView in = inputs[r];
-        const S1* src = nullptr;
-        if constexpr (std::is_same_v<S1, double>) src = in.data();
-        // Staging copy/cast in the phase-1 precision, which is also the
-        // broadcast payload.  Phantom devices still charge its time.
-        if (!std::is_same_v<S1, double> || bcast != nullptr) {
-          S1* bc = bcast_.get<S1>(*dev_, nt * ns_in);
-          if (!in.empty() || dev_->phantom()) {
-            if constexpr (std::is_same_v<S1, double>) {
-              sa.copy(in.data(), bc, nt * ns_in);
-            } else {
-              precision::convert_array(sa, in.data(), bc, nt * ns_in);
-            }
-          }
-          if (bcast != nullptr) {
-            bcast->broadcast(bc, nt * ns_in, 0);
-            sa.advance(coll.broadcast_s);
-            comm_s += coll.broadcast_s;
-          }
-          src = bc;
+        const S1* src;
+        if constexpr (std::is_same_v<S1, double>) {
+          src = inputs[r].data();
+        } else {
+          // Staging cast to the phase-1 precision (phantom devices
+          // still charge its time).
+          S1* staged = staged_.get<S1>(*dev_, nt * ns_in);
+          precision::convert_array(sa, inputs[r].data(), staged, nt * ns_in);
+          src = staged;
         }
         S2* dst = dst_all + (r - lo) * ns_in * L;
         if (fuse || std::is_same_v<S1, S2>) {
@@ -364,8 +311,7 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
       }
     });
     trace_phase(sa, "pad", i, cb, t0);
-    timings_.pad += sa.now() - t0 - comm_s;
-    timings_.comm += comm_s;
+    timings_.pad += sa.now() - t0;
     t0 = sa.now();
     dispatch1(p2, [&](auto tag2) {
       using S2 = decltype(tag2);
@@ -498,7 +444,6 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     trace_phase(sa, "ifft", i, cb, t0);
     timings_.ifft += sa.now() - t0;
     t0 = sa.now();
-    double comm_s = 0.0;
     for (index_t r = lo; r < hi; ++r) {
       dispatch2(p4, p5, [&](auto tag4, auto tag5) {
         using S4 = decltype(tag4);
@@ -524,29 +469,17 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
           } else {
             dst = sink->f;
           }
+          if (dst != nullptr) dst += r * nt * ns_out;  // null on phantom
           sa.copy(result, dst, nt * ns_out);
-          return;
-        }
-        if (reduce != nullptr) {
-          S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
-          reduce->reduce_sum(result, recv, nt * ns_out, 0);
-          sa.advance(coll.reduce_s);
-          comm_s += coll.reduce_s;
-          result = recv;
-        }
-        const VectorView out = outputs[r];
-        if (out_root && (!out.empty() || dev_->phantom())) {
-          if constexpr (std::is_same_v<S5, double>) {
-            sa.copy(result, out.data(), nt * ns_out);
-          } else {
-            precision::convert_array(sa, result, out.data(), nt * ns_out);
-          }
+        } else if constexpr (std::is_same_v<S5, double>) {
+          sa.copy(result, outputs[r].data(), nt * ns_out);
+        } else {
+          precision::convert_array(sa, result, outputs[r].data(), nt * ns_out);
         }
       });
     }
     trace_phase(sa, "unpad", i, cb, t0);
-    timings_.unpad += sa.now() - t0 - comm_s;
-    timings_.comm += comm_s;
+    timings_.unpad += sa.now() - t0;
   };
 
   stage1(0);

@@ -1,24 +1,25 @@
 // The FFTMatvec execution plan: five-phase mixed-precision matvecs
 // with a block-triangular Toeplitz operator (paper §2.4, §3.2).
 //
+// The plan is rank-local: it applies one rank's operator slice
+// (LocalDims) and never communicates.  Running a matvec across the
+// ranks of a process grid — slicing the input, reducing the partial
+// outputs — is DistributedMatvecPlan's job (core/distributed_plan.hpp).
+//
 // One stage executor runs every apply.  Forward (F) matvec of b
-// right-hand sides on rank (r, c) of a p_r x p_c grid:
+// right-hand sides:
 //   1. per RHS, the fused TOSI->SOTI transpose + zero-pad (+cast to
-//      the FFT precision); a grid apply first stages the local
-//      parameter chunk in the phase-1 precision and broadcasts it over
-//      the grid column,
+//      the FFT precision),
 //   2. one batched real FFT (b * n_m_local sequences of length 2 N_t),
 //   3. Fourier-space reorder, strided batched GEMV over the N_t + 1
 //      frequency blocks, reorder back — the reorders are charged to
 //      the SBGEMV phase exactly as the artifact's timing output does,
 //   4. one batched inverse real FFT (b * n_d_local sequences),
 //   5. per RHS, the fused unpad + SOTI->TOSI transpose and the final
-//      cast to double; a grid apply tree-reduces the partial outputs
-//      over the grid row before that cast.
+//      cast to double (apply_partial instead copies the partial output
+//      into a PartialSink in the phase-5 precision).
 // The adjoint (F*) matvec mirrors the pipeline with the conjugate-
-// transpose SBGEMV and broadcast/reduce roles swapped.  forward(),
-// adjoint() and the *_partial spellings are the b = 1 case; only they
-// take the grid stages (a RankComms) or a partial sink.
+// transpose SBGEMV.  forward() and adjoint() are the b = 1 case.
 //
 // Precision semantics (§3.2): input/output are always double; each
 // phase computes in its configured precision; casts occur where the
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "blas/sbgemv.hpp"
-#include "comm/communicator.hpp"
 #include "comm/cost_model.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/problem.hpp"
@@ -69,7 +69,7 @@ namespace fftmv::core {
 /// split both: phase fields sum to the batch's phase fields and
 /// makespan shares sum to the batch makespan.
 struct PhaseTimings {
-  double pad = 0.0;     ///< broadcast staging + transpose/pad (+cast)
+  double pad = 0.0;     ///< staging cast + transpose/pad (+cast)
   double fft = 0.0;     ///< phase-2 batched FFT
   double sbgemv = 0.0;  ///< phase-3 GEMV incl. both Fourier reorders
   double ifft = 0.0;    ///< phase-4 batched IFFT
@@ -151,8 +151,8 @@ struct MatvecOptions {
   /// When false, precision changes run as separate cast kernels after
   /// a same-precision memory op (the fusion ablation of §3.2).
   bool fuse_casts = true;
-  /// Network model used to charge communication time in distributed
-  /// applies.
+  /// Network model the serving layer's sharded dispatch prices its
+  /// collectives with (the plan itself never communicates).
   comm::NetworkSpec network = comm::NetworkSpec::frontier();
 
   bool operator==(const MatvecOptions&) const = default;
@@ -167,30 +167,23 @@ class FftMatvecPlan {
   device::Stream& stream() const { return *stream_; }
   const MatvecOptions& options() const { return options_; }
 
-  /// d = F m: the b = 1 case of apply_batch, plus the optional grid
-  /// stages.  `m` is the rank-local TOSI chunk (N_t x n_m_local,
-  /// significant on the grid-column root), `d` receives the local
-  /// TOSI result (N_t x n_d_local, valid on the grid-row root).
-  /// Single-rank when `comms == nullptr`; otherwise the input is
-  /// broadcast before phase 1 and the partials reduced after phase 5,
-  /// both charged to PhaseTimings::comm.  Extents are checked on the
-  /// roots only.  Like any batch, it consults the grouped SBGEMV's
-  /// silent-corruption hook (FaultStats::buffer_writes counts it) and
-  /// leaves one share in last_batch_timings().
+  /// d = F m: the b = 1 case of apply_batch.  `m` is the rank-local
+  /// TOSI input (N_t x n_m_local), `d` receives the TOSI result
+  /// (N_t x n_d_local).  Like any batch, it consults the grouped
+  /// SBGEMV's silent-corruption hook (FaultStats::buffer_writes counts
+  /// it) and leaves one share in last_batch_timings().
   void forward(const BlockToeplitzOperator& op, std::span<const double> m,
-               std::span<double> d, const precision::PrecisionConfig& config,
-               comm::RankComms* comms = nullptr);
+               std::span<double> d, const precision::PrecisionConfig& config);
 
   /// m = F* d; mirror conventions of forward().
   void adjoint(const BlockToeplitzOperator& op, std::span<const double> d,
-               std::span<double> m, const precision::PrecisionConfig& config,
-               comm::RankComms* comms = nullptr);
+               std::span<double> m, const precision::PrecisionConfig& config);
 
-  /// Execute b same-shape right-hand sides as ONE fused pipeline
-  /// (single-rank; the executor behind every apply): the phase-1/5
-  /// transposes loop over the RHS dimension, the phase-2/4 real FFTs
-  /// run the cached plan with a runtime batch multiplier (b * n_s
-  /// sequences in one launch), and phase 3 is a single multi-RHS
+  /// Execute b same-shape right-hand sides as ONE fused pipeline (the
+  /// executor behind every apply): the phase-1/5 transposes loop over
+  /// the RHS dimension, the phase-2/4 real FFTs run the cached plan
+  /// with a runtime batch multiplier (b * n_s sequences in one
+  /// launch), and phase 3 is a single multi-RHS
   /// strided batched GEMV that pays the operator's matrix traffic
   /// once per frequency block instead of once per request.  Results
   /// are bit-identical to b independent forward()/adjoint() calls for
@@ -234,26 +227,25 @@ class FftMatvecPlan {
                    std::span<const VectorView> outputs,
                    const BatchPipeline& pipeline = {});
 
-  /// Receives the un-reduced phase-5 partial output in the phase-5
-  /// precision (exactly one pointer must be set, matching the
-  /// config's phase-5 precision).  Used by the sequential
-  /// LockstepCluster, which performs the tree reduction itself.
+  /// Receives a batch's un-reduced phase-5 partial outputs in the
+  /// phase-5 precision: RHS r's n_t x ns_out partial (ns_out =
+  /// n_d_local forward, n_m_local adjoint) lands at element offset
+  /// r * n_t * ns_out of the one pointer set, which must match the
+  /// config's phase-5 precision.  Both may stay null on a phantom
+  /// device.  DistributedMatvecPlan tree-reduces these partials over
+  /// a process grid's reduction groups.
   struct PartialSink {
     float* f = nullptr;
     double* d = nullptr;
   };
 
-  /// The b = 1 apply with the phase-5 partial (n_t x n_d_local, in
-  /// the phase-5 precision) copied into `sink` in place of the
-  /// reduction and final cast.
-  void forward_partial(const BlockToeplitzOperator& op,
-                       std::span<const double> m, const PartialSink& sink,
-                       const precision::PrecisionConfig& config);
-
-  /// Adjoint analogue; partial extent is n_t x n_m_local.
-  void adjoint_partial(const BlockToeplitzOperator& op,
-                       std::span<const double> d, const PartialSink& sink,
-                       const precision::PrecisionConfig& config);
+  /// apply_batch with every RHS's phase-5 partial copied into `sink`
+  /// in place of the final cast to double.
+  void apply_partial(const BlockToeplitzOperator& op, ApplyDirection direction,
+                     const precision::PrecisionConfig& config,
+                     std::span<const ConstVectorView> inputs,
+                     const PartialSink& sink,
+                     const BatchPipeline& pipeline = {});
 
   /// Timings of the most recent apply (an apply_batch reports the
   /// whole batch's totals).
@@ -274,10 +266,10 @@ class FftMatvecPlan {
     return rhs_timings_;
   }
 
-  /// Pipeline executions so far: +1 per forward/adjoint/partial apply
-  /// and +1 per apply_batch REGARDLESS of its RHS count.  The serving
-  /// layer's tests hook this to assert a coalesced batch costs one
-  /// plan execution.
+  /// Pipeline executions so far: +1 per forward/adjoint and +1 per
+  /// apply_batch or apply_partial REGARDLESS of its RHS count.  The
+  /// serving layer's tests hook this to assert a coalesced batch costs
+  /// one plan execution.
   std::int64_t executions() const { return executions_; }
 
  private:
@@ -304,20 +296,17 @@ class FftMatvecPlan {
   using DualReal = Dual<double, float>;
   using DualComplex = Dual<cdouble, cfloat>;
 
-  /// The stage executor behind every apply.  `comms` (grid stages)
-  /// and `sink` (partial output) are set only by the single-RHS
-  /// spellings.
+  /// The stage executor behind every apply; `sink` (partial output,
+  /// `outputs` then empty) is set only by apply_partial.
   void execute(std::span<const OperatorGroup> groups, ApplyDirection direction,
                const precision::PrecisionConfig& config,
                std::span<const ConstVectorView> inputs,
                std::span<const VectorView> outputs,
-               const BatchPipeline& pipeline, comm::RankComms* comms,
-               const PartialSink* sink);
+               const BatchPipeline& pipeline, const PartialSink* sink);
 
   void apply_single(const BlockToeplitzOperator& op, ApplyDirection direction,
                     std::span<const double> in, std::span<double> out,
-                    const precision::PrecisionConfig& config,
-                    comm::RankComms* comms, const PartialSink* sink);
+                    const precision::PrecisionConfig& config);
 
   /// Cached real-FFT plan in precision S over the parameter-side
   /// (n_m_local) or sensor-side (n_d_local) sequences; built lazily.
@@ -337,7 +326,7 @@ class FftMatvecPlan {
   std::optional<fft::BatchedRealFft<float>> fft_f_[2];
 
   // Pipeline buffers (shared between directions, max-size semantics).
-  DualReal bcast_;     ///< phase-1 staging copy/cast (broadcast payload)
+  DualReal staged_;    ///< phase-1 staging cast of a single-precision input
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
@@ -345,7 +334,6 @@ class FftMatvecPlan {
   DualComplex ospec_;  ///< GEMV output spectrum, space-outer
   DualReal opad_;      ///< padded real output (x L)
   DualReal olocal_;    ///< unpadded TOSI partial output
-  DualReal oreduce_;   ///< reduction receive buffer (group root)
 
   // Second spectrum workspace set for pipelined apply_batch: chunk i
   // uses set i % 2, so chunk i+1's FFT (stream A) writes while chunk

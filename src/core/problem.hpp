@@ -58,6 +58,13 @@ struct LocalDims {
 
   auto operator<=>(const LocalDims&) const = default;
 
+  /// Same local shape (n_t, n_m_local, n_d_local), placement aside:
+  /// equal-shaped ranks can share one plan.
+  bool same_shape(const LocalDims& o) const {
+    return n_t() == o.n_t() && n_m_local == o.n_m_local &&
+           n_d_local == o.n_d_local;
+  }
+
   static LocalDims for_rank(const ProblemDims& dims, const comm::ProcessGrid& grid,
                             index_t rank) {
     dims.validate();

@@ -99,17 +99,16 @@ struct StreamQoS {
   double weight = 1.0;
 };
 
-/// One matvec request, the struct form of AsyncScheduler::submit.
-/// New request-path fields land here instead of growing a positional
-/// argument list; the positional submit overload is a thin wrapper
-/// that fills in default QoS.
+/// One matvec request, the argument of AsyncScheduler::submit.  New
+/// request-path fields land here instead of growing a positional
+/// argument list.
 struct Request {
   TenantId tenant = 0;
   core::ApplyDirection direction = core::ApplyDirection::kForward;
   precision::PrecisionConfig config;
   /// TOSI input (n_t x n_m for forward, n_t x n_d for adjoint).
   std::vector<double> input;
-  StreamQoS qos;
+  StreamQoS qos = {};  // best-effort by default
 };
 
 /// Completed request payload delivered through the future.

@@ -468,8 +468,8 @@ std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
   metrics_.record_submit();
   if (!counted) {
     // Shut down: the error contract returns a ready kShutdown future
-    // instead of throwing — the two submit overloads and a live
-    // session handle all behave identically.
+    // instead of throwing — submit and a live session handle behave
+    // identically.
     retire_undispatched(std::move(req), ErrorCode::kShutdown,
                         /*counted=*/false);
     return future;
@@ -550,17 +550,6 @@ void AsyncScheduler::retire_undispatched(PendingRequest req, ErrorCode code,
 }
 
 std::future<MatvecResult> AsyncScheduler::submit(Request request) {
-  return enqueue(std::move(request), /*session=*/0);
-}
-
-std::future<MatvecResult> AsyncScheduler::submit(
-    TenantId tenant, core::ApplyDirection direction,
-    const precision::PrecisionConfig& config, std::vector<double> input) {
-  Request request;
-  request.tenant = tenant;
-  request.direction = direction;
-  request.config = config;
-  request.input = std::move(input);
   return enqueue(std::move(request), /*session=*/0);
 }
 
@@ -872,10 +861,10 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
               stream));
           fb_lanes.push_back({fb_plans.back().get(), &aux});
         }
-        lane_state.dist->apply_batch_degraded(*sharded, batch.key.direction,
-                                              config, inputs, outputs,
-                                              fb_lanes, resolved_chunks,
-                                              options_.verify_mode);
+        lane_state.dist->apply_batch(*sharded, batch.key.direction, config,
+                                     inputs, outputs, fb_lanes,
+                                     core::CommMode::kNone, resolved_chunks,
+                                     options_.verify_mode);
         metrics_.record_degraded_batch();
         if (trace_on) {
           util::trace::instant(

@@ -51,8 +51,8 @@
 //
 //   RETURNS A FAILED FUTURE (a MatvecResult value with `error` set;
 //   NEVER a future exception) for every service-side outcome:
-//   kShutdown for a submit after shutdown() — both submit overloads
-//   and StreamSession::submit on a live handle — kQueueFull/kShed
+//   kShutdown for a submit after shutdown() — submit(Request) and
+//   StreamSession::submit on a live handle — kQueueFull/kShed
 //   from bounded admission (max_queue_depth + overload_policy), and
 //   kTransientDevice / kOutOfMemory / kRankFailure / kSilentCorruption
 //   / kInternal when a dispatch failure survives the retry budget.
@@ -292,13 +292,6 @@ class AsyncScheduler {
   /// ErrorCode (see the class error contract).
   std::future<MatvecResult> submit(Request request);
 
-  /// Positional convenience form: equivalent to submit(Request{...})
-  /// with default (best-effort) QoS.
-  std::future<MatvecResult> submit(TenantId tenant,
-                                   core::ApplyDirection direction,
-                                   const precision::PrecisionConfig& config,
-                                   std::vector<double> input);
-
   /// Open a streaming session: an ordered sequence of applies for one
   /// (tenant, direction, config) with per-request QoS applied to each
   /// submit (deadline_seconds is relative to each apply's submission).
@@ -317,8 +310,8 @@ class AsyncScheduler {
   /// Block until every accepted request has completed.
   void drain();
 
-  /// Drain, then stop the workers.  Idempotent; afterwards every
-  /// submit overload (and StreamSession::submit on a live handle)
+  /// Drain, then stop the workers.  Idempotent; afterwards submit
+  /// (and StreamSession::submit on a live handle)
   /// returns a ready future carrying ErrorCode::kShutdown.  Called by
   /// the destructor.
   void shutdown();
@@ -396,7 +389,7 @@ class AsyncScheduler {
   void worker_loop(int lane);
   void execute_batch(int lane, Batch& batch);
 
-  /// Common enqueue path behind both submit forms and session
+  /// Common enqueue path behind submit and session
   /// submits: validates (throwing std::invalid_argument for caller
   /// bugs), stamps the absolute deadline from request.qos, counts
   /// in-flight and pushes to the queue.  Shutdown and

@@ -67,8 +67,8 @@ class StreamSession {
   /// in submit order.  Throws std::runtime_error on a closed handle
   /// (or one that outlived its scheduler) — handle misuse is a caller
   /// bug; a live handle racing the scheduler's shutdown() instead
-  /// returns a ready future carrying ErrorCode::kShutdown, like both
-  /// AsyncScheduler::submit overloads.
+  /// returns a ready future carrying ErrorCode::kShutdown, like
+  /// AsyncScheduler::submit.
   std::future<MatvecResult> submit(std::vector<double> input);
 
   /// Drain this session's outstanding applies, unpin its plan shape

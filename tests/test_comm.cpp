@@ -63,7 +63,7 @@ TEST(TreeReduce, MatchesRoundingOfExplicitTree) {
 
 // ----------------------------------------------------- thread comms
 TEST(ThreadComm, WorldBroadcast) {
-  run_on_grid(2, 2, [](RankComms& comms) {
+  run_on_grid(2, 2, [](GridComms& comms) {
     std::vector<double> buf(16, 0.0);
     if (comms.world_rank == 0) {
       for (int i = 0; i < 16; ++i) buf[static_cast<std::size_t>(i)] = i * 1.5;
@@ -76,7 +76,7 @@ TEST(ThreadComm, WorldBroadcast) {
 }
 
 TEST(ThreadComm, ReduceSumToRoot) {
-  run_on_grid(1, 4, [](RankComms& comms) {
+  run_on_grid(1, 4, [](GridComms& comms) {
     std::vector<double> send(8, static_cast<double>(comms.world_rank + 1));
     std::vector<double> recv(8, -1.0);
     comms.world.reduce_sum(send.data(), recv.data(), 8, 0);
@@ -87,7 +87,7 @@ TEST(ThreadComm, ReduceSumToRoot) {
 }
 
 TEST(ThreadComm, AllReduce) {
-  run_on_grid(3, 1, [](RankComms& comms) {
+  run_on_grid(3, 1, [](GridComms& comms) {
     double v = static_cast<double>(comms.world_rank);
     double out = 0;
     comms.world.allreduce_sum(&v, &out, 1);
@@ -98,7 +98,7 @@ TEST(ThreadComm, AllReduce) {
 TEST(ThreadComm, RowAndColumnSubgroups) {
   // On a 2x3 grid: row groups have size 3 (indexed by column), column
   // groups size 2 (indexed by row).
-  run_on_grid(2, 3, [](RankComms& comms) {
+  run_on_grid(2, 3, [](GridComms& comms) {
     EXPECT_EQ(comms.grid_row.size(), 3);
     EXPECT_EQ(comms.grid_col.size(), 2);
     const ProcessGrid g(2, 3);
@@ -123,7 +123,7 @@ TEST(ThreadComm, RowAndColumnSubgroups) {
 }
 
 TEST(ThreadComm, SingleRankGroupsAreNoOps) {
-  run_on_grid(1, 1, [](RankComms& comms) {
+  run_on_grid(1, 1, [](GridComms& comms) {
     double v = 42.0, out = 0.0;
     comms.world.broadcast(&v, 1, 0);
     comms.world.reduce_sum(&v, &out, 1, 0);
@@ -134,7 +134,7 @@ TEST(ThreadComm, SingleRankGroupsAreNoOps) {
 
 TEST(ThreadComm, PropagatesRankExceptions) {
   EXPECT_THROW(run_on_grid(1, 2,
-                           [](RankComms& comms) {
+                           [](GridComms& comms) {
                              // Both ranks throw, so no barrier deadlock.
                              throw std::runtime_error(
                                  "rank failure " +
@@ -144,7 +144,7 @@ TEST(ThreadComm, PropagatesRankExceptions) {
 }
 
 TEST(ThreadComm, ManyIterationsStayCoherent) {
-  run_on_grid(2, 2, [](RankComms& comms) {
+  run_on_grid(2, 2, [](GridComms& comms) {
     for (int round = 0; round < 50; ++round) {
       double v = static_cast<double>(comms.world_rank + round);
       double sum = 0;

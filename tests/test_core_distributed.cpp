@@ -1,20 +1,23 @@
-// Distributed matvec tests: the threaded multi-rank execution and the
-// sequential lockstep cluster must both reproduce the single-rank
-// result, agree bit-for-bit with each other, and show the Figure-4
-// error behaviour (error growth with grid rows via n_m = N_m / p_c).
+// Distributed matvec tests: DistributedMatvecPlan, the one executor
+// that runs a matvec across ranks, must reproduce the single-rank
+// result, agree bit-for-bit with a threaded reference built here from
+// per-rank partial applies and the thread communicator's broadcast +
+// tree reduction, and show the Figure-4 error behaviour (error growth
+// with grid rows via n_m = N_m / p_c).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <tuple>
 
 #include "blas/vector_ops.hpp"
 #include "comm/communicator.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/dense_reference.hpp"
 #include "core/distributed_plan.hpp"
-#include "core/lockstep_cluster.hpp"
 #include "core/matvec_plan.hpp"
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
@@ -66,88 +69,155 @@ std::vector<double> single_rank_adjoint(const GlobalProblem& p,
   return m;
 }
 
-/// Run the threaded distributed forward matvec on a p_r x p_c grid
-/// and assemble the global output.
-std::vector<double> threaded_forward(const GlobalProblem& p, index_t p_rows,
-                                     index_t p_cols, const PrecisionConfig& cfg) {
+/// The threaded reference of a distributed matvec on a p_r x p_c grid
+/// (§2.4), one thread and device per rank: the root of the broadcast
+/// group holds the rank's input chunk and broadcasts it, every rank
+/// runs a b = 1 partial apply, and the partials are tree-reduced in
+/// the phase-5 precision to the reduction root, which casts to double
+/// and scatters into the global output.  Forward broadcasts the
+/// parameter chunk over the grid column and reduces sensor partials
+/// over the grid row; the adjoint swaps the roles.
+std::vector<double> threaded_apply(const GlobalProblem& p, index_t p_rows,
+                                   index_t p_cols, ApplyDirection dir,
+                                   const PrecisionConfig& cfg,
+                                   const std::vector<double>& input) {
   const comm::ProcessGrid grid(p_rows, p_cols);
-  std::vector<double> d_global(
-      static_cast<std::size_t>(p.dims.n_t * p.dims.n_d), 0.0);
+  const bool adjoint = dir == ApplyDirection::kAdjoint;
+  const index_t nt = p.dims.n_t;
+  const index_t width_in = adjoint ? p.dims.n_d : p.dims.n_m;
+  const index_t width_out = adjoint ? p.dims.n_m : p.dims.n_d;
+  std::vector<double> global_out(static_cast<std::size_t>(nt * width_out),
+                                 0.0);
   std::mutex out_mutex;
 
   // Each rank thread owns its own device with inline execution so the
   // global thread pool is not re-entered concurrently.
-  comm::run_on_grid(p_rows, p_cols, [&](comm::RankComms& comms) {
+  comm::run_on_grid(p_rows, p_cols, [&](comm::GridComms& comms) {
     static util::ThreadPool inline_pool(1);
     device::Device dev(device::make_mi300x(), &inline_pool);
     device::Stream stream(dev);
     const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
-    const auto col_slice = slice_first_block_col(p.dims, local, p.first_col);
-    BlockToeplitzOperator op(dev, stream, local, col_slice);
+    BlockToeplitzOperator op(dev, stream, local,
+                             slice_first_block_col(p.dims, local, p.first_col));
     FftMatvecPlan plan(dev, stream, local);
+    comm::GroupComm& bcast = adjoint ? comms.grid_row : comms.grid_col;
+    comm::GroupComm& reduce = adjoint ? comms.grid_col : comms.grid_row;
+    const index_t in_off = adjoint ? local.d_offset : local.m_offset;
+    const index_t in_cnt = adjoint ? local.n_d_local : local.n_m_local;
+    const index_t out_off = adjoint ? local.m_offset : local.d_offset;
+    const index_t out_cnt = adjoint ? local.n_m_local : local.n_d_local;
 
-    // Column root holds the input chunk; other column ranks receive
-    // it through the broadcast.
-    std::vector<double> m_local;
-    if (comms.grid_col.rank() == 0) {
-      m_local = slice_tosi(p.m, p.dims.n_t, p.dims.n_m, local.m_offset,
-                           local.n_m_local);
-    }
-    std::vector<double> d_local;
-    const bool is_row_root = comms.grid_row.rank() == 0;
-    if (is_row_root) {
-      d_local.resize(static_cast<std::size_t>(p.dims.n_t * local.n_d_local));
-    }
-    plan.forward(op, m_local, d_local, cfg, &comms);
+    std::vector<double> in(static_cast<std::size_t>(nt * in_cnt));
+    if (bcast.rank() == 0) in = slice_tosi(input, nt, width_in, in_off, in_cnt);
+    bcast.broadcast(in.data(), nt * in_cnt, 0);
 
-    if (is_row_root) {
-      std::lock_guard lock(out_mutex);
-      scatter_tosi(d_local, p.dims.n_t, p.dims.n_d, local.d_offset,
-                   local.n_d_local, d_global);
+    const auto partial_apply = [&](auto tag) {
+      using T = decltype(tag);
+      std::vector<T> partial(static_cast<std::size_t>(nt * out_cnt));
+      std::vector<T> sum(partial.size());
+      FftMatvecPlan::PartialSink sink;
+      if constexpr (std::is_same_v<T, double>) {
+        sink.d = partial.data();
+      } else {
+        sink.f = partial.data();
+      }
+      const ConstVectorView ins[] = {in};
+      plan.apply_partial(op, dir, cfg, ins, sink);
+      reduce.reduce_sum(partial.data(), sum.data(), nt * out_cnt, 0);
+      if (reduce.rank() == 0) {
+        const std::vector<double> out(sum.begin(), sum.end());
+        std::lock_guard lock(out_mutex);
+        scatter_tosi(out, nt, width_out, out_off, out_cnt, global_out);
+      }
+    };
+    if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle) {
+      partial_apply(float{});
+    } else {
+      partial_apply(double{});
     }
   });
-  return d_global;
+  return global_out;
 }
 
-/// Threaded distributed adjoint matvec: broadcast of the data chunk
-/// over the grid row, reduction of parameter partials down the grid
-/// column (the mirror roles of §2.4).
+std::vector<double> threaded_forward(const GlobalProblem& p, index_t p_rows,
+                                     index_t p_cols, const PrecisionConfig& cfg) {
+  return threaded_apply(p, p_rows, p_cols, ApplyDirection::kForward, cfg, p.m);
+}
+
 std::vector<double> threaded_adjoint(const GlobalProblem& p, index_t p_rows,
                                      index_t p_cols, const PrecisionConfig& cfg) {
-  const comm::ProcessGrid grid(p_rows, p_cols);
-  std::vector<double> m_global(
-      static_cast<std::size_t>(p.dims.n_t * p.dims.n_m), 0.0);
-  std::mutex out_mutex;
+  return threaded_apply(p, p_rows, p_cols, ApplyDirection::kAdjoint, cfg, p.d);
+}
 
-  comm::run_on_grid(p_rows, p_cols, [&](comm::RankComms& comms) {
-    static util::ThreadPool inline_pool(1);
-    device::Device dev(device::make_mi300x(), &inline_pool);
-    device::Stream stream(dev);
-    const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
-    const auto col_slice = slice_first_block_col(p.dims, local, p.first_col);
-    BlockToeplitzOperator op(dev, stream, local, col_slice);
-    FftMatvecPlan plan(dev, stream, local);
+struct ShardedRun {
+  std::vector<std::vector<double>> outputs;
+  PhaseTimings timings;
+  std::vector<PhaseTimings> shares;
+};
 
-    // The adjoint broadcasts along grid rows: root is column 0.
-    std::vector<double> d_local;
-    if (comms.grid_row.rank() == 0) {
-      d_local = slice_tosi(p.d, p.dims.n_t, p.dims.n_d, local.d_offset,
-                           local.n_d_local);
+/// Drive one batched apply of `ins` through DistributedMatvecPlan over
+/// `sharded`.  With `one_stream` every rank shares one plan and stream
+/// (equal-shaped ranks run one after another); otherwise each rank
+/// gets its own stream pair.
+ShardedRun run_on(device::Device& dev, const ShardedOperator& sharded,
+                  ApplyDirection dir, const PrecisionConfig& cfg,
+                  const std::vector<std::vector<double>>& ins,
+                  CommMode mode = CommMode::kBatched, index_t chunks = 1,
+                  bool one_stream = false) {
+  std::vector<std::unique_ptr<device::Stream>> streams, auxes;
+  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
+  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  for (index_t r = 0; r < sharded.ranks(); ++r) {
+    if (!one_stream || r == 0) {
+      streams.push_back(std::make_unique<device::Stream>(dev));
+      auxes.push_back(one_stream ? nullptr
+                                 : std::make_unique<device::Stream>(dev));
+      plans.push_back(std::make_unique<FftMatvecPlan>(
+          dev, *streams.back(), sharded.rank_dims(dir, r)));
     }
-    std::vector<double> m_local;
-    const bool is_col_root = comms.grid_col.rank() == 0;
-    if (is_col_root) {
-      m_local.resize(static_cast<std::size_t>(p.dims.n_t * local.n_m_local));
-    }
-    plan.adjoint(op, d_local, m_local, cfg, &comms);
+    lanes.push_back({plans.back().get(), auxes.back().get()});
+  }
 
-    if (is_col_root) {
-      std::lock_guard lock(out_mutex);
-      scatter_tosi(m_local, p.dims.n_t, p.dims.n_m, local.m_offset,
-                   local.n_m_local, m_global);
-    }
-  });
-  return m_global;
+  const ProblemDims& dims = sharded.dims();
+  const index_t out_len =
+      dims.n_t * (dir == ApplyDirection::kForward ? dims.n_d : dims.n_m);
+  ShardedRun run;
+  run.outputs.assign(ins.size(),
+                     std::vector<double>(static_cast<std::size_t>(out_len)));
+  const std::vector<ConstVectorView> iv(ins.begin(), ins.end());
+  const std::vector<VectorView> ov(run.outputs.begin(), run.outputs.end());
+  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+  dist.apply_batch(sharded, dir, cfg, iv, ov, lanes, mode, chunks);
+  run.timings = dist.last_timings();
+  run.shares = dist.last_batch_timings();
+  return run;
+}
+
+/// `b` deterministic right-hand sides for `dir`.
+std::vector<std::vector<double>> make_rhs(const GlobalProblem& p,
+                                          ApplyDirection dir, index_t b) {
+  const index_t in_len =
+      p.dims.n_t *
+      (dir == ApplyDirection::kForward ? p.dims.n_m : p.dims.n_d);
+  std::vector<std::vector<double>> ins;
+  for (index_t i = 0; i < b; ++i) {
+    ins.push_back(
+        make_input_vector(in_len, 4242 + 13 * static_cast<std::uint64_t>(i)));
+  }
+  return ins;
+}
+
+/// One apply on the paper's p_r x p_c process grid.
+ShardedRun run_grid(const GlobalProblem& p, index_t p_rows, index_t p_cols,
+                    ApplyDirection dir, const PrecisionConfig& cfg,
+                    const std::vector<std::vector<double>>& ins,
+                    CommMode mode = CommMode::kBatched, index_t chunks = 1,
+                    bool one_stream = false) {
+  device::Device dev(device::make_mi300x());
+  device::Stream setup(dev);
+  const ShardedOperator sharded(dev, setup, p.dims,
+                                comm::ProcessGrid(p_rows, p_cols), p.first_col);
+  return run_on(dev, sharded, dir, cfg, ins, mode, chunks, one_stream);
 }
 
 // ---------------------------------------------------- threaded grids
@@ -211,93 +281,99 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GridShapes,
                                   std::to_string(info.param.second);
                          });
 
-// Each rank of a threaded grid apply charges exactly the cost model's
-// broadcast + reduce, and a serial apply's makespan is its total.
+// A process-grid apply charges exactly the cost model's broadcast +
+// reduction for the grid, and with every rank on one stream its
+// makespan is its total.
 TEST(GridTimings, CommIsModelledCollectivesAndMakespanIsTotal) {
   const auto p = make_global(24, 4, 16, 510);
   const index_t p_rows = 2, p_cols = 2;
   const comm::ProcessGrid grid(p_rows, p_cols);
   for (const char* cfg_str : {"ddddd", "sssss", "sdddd"}) {
     const auto cfg = PrecisionConfig::parse(cfg_str);
-    for (bool adjoint : {false, true}) {
-      std::mutex mu;
-      std::vector<std::pair<PhaseTimings, comm::MatvecCollectives>> ranks;
-      comm::run_on_grid(p_rows, p_cols, [&](comm::RankComms& comms) {
-        static util::ThreadPool inline_pool(1);
-        device::Device dev(device::make_mi300x(), &inline_pool);
-        device::Stream stream(dev);
-        const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
-        BlockToeplitzOperator op(dev, stream, local,
-                                 slice_first_block_col(p.dims, local, p.first_col));
-        FftMatvecPlan plan(dev, stream, local);
-        const index_t ns_in = adjoint ? local.n_d_local : local.n_m_local;
-        const index_t ns_out = adjoint ? local.n_m_local : local.n_d_local;
-        const bool bcast_root =
-            (adjoint ? comms.grid_row : comms.grid_col).rank() == 0;
-        const bool reduce_root =
-            (adjoint ? comms.grid_col : comms.grid_row).rank() == 0;
-        std::vector<double> in, out;
-        if (bcast_root) in = make_input_vector(p.dims.n_t * ns_in, 511);
-        if (reduce_root) out.resize(static_cast<std::size_t>(p.dims.n_t * ns_out));
-        if (adjoint) {
-          plan.adjoint(op, in, out, cfg, &comms);
-        } else {
-          plan.forward(op, in, out, cfg, &comms);
-        }
-        const auto width = [](precision::Precision q) {
-          return q == precision::Precision::kSingle ? 4.0 : 8.0;
-        };
-        const auto coll = comm::CommCostModel(plan.options().network)
-                              .matvec_collectives(
-                                  p_rows, p_cols, adjoint,
-                                  static_cast<double>(p.dims.n_t * ns_in) *
-                                      width(cfg.phase(precision::kPhasePad)),
-                                  static_cast<double>(p.dims.n_t * ns_out) *
-                                      width(cfg.phase(precision::kPhaseUnpad)));
-        std::lock_guard lock(mu);
-        ranks.emplace_back(plan.last_timings(), coll);
-      });
-      ASSERT_EQ(ranks.size(), 4u);
-      for (const auto& [t, coll] : ranks) {
-        EXPECT_GT(coll.broadcast_s, 0.0);
-        EXPECT_GT(coll.reduce_s, 0.0);
-        EXPECT_DOUBLE_EQ(t.comm, coll.broadcast_s + coll.reduce_s)
-            << cfg_str << (adjoint ? " F*" : " F");
-        EXPECT_NEAR(t.makespan, t.total(), 1e-12 * t.total())
-            << cfg_str << (adjoint ? " F*" : " F");
-      }
+    for (const auto dir :
+         {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+      const bool adjoint = dir == ApplyDirection::kAdjoint;
+      const auto t = run_grid(p, p_rows, p_cols, dir, cfg, make_rhs(p, dir, 1),
+                              CommMode::kBatched, 1, /*one_stream=*/true)
+                         .timings;
+      const auto local = LocalDims::for_rank(p.dims, grid, 0);
+      const index_t ns_in = adjoint ? local.n_d_local : local.n_m_local;
+      const index_t ns_out = adjoint ? local.n_m_local : local.n_d_local;
+      const auto width = [](precision::Precision q) {
+        return q == precision::Precision::kSingle ? 4.0 : 8.0;
+      };
+      const auto coll = comm::CommCostModel(comm::NetworkSpec::frontier())
+                            .matvec_collectives(
+                                p_rows, p_cols, adjoint,
+                                static_cast<double>(p.dims.n_t * ns_in) *
+                                    width(cfg.phase(precision::kPhasePad)),
+                                static_cast<double>(p.dims.n_t * ns_out) *
+                                    width(cfg.phase(precision::kPhaseUnpad)));
+      EXPECT_GT(coll.broadcast_s, 0.0);
+      EXPECT_GT(coll.reduce_s, 0.0);
+      EXPECT_DOUBLE_EQ(t.comm, coll.broadcast_s + coll.reduce_s)
+          << cfg_str << (adjoint ? " F*" : " F");
+      EXPECT_NEAR(t.makespan, t.total(), 1e-12 * t.total())
+          << cfg_str << (adjoint ? " F*" : " F");
     }
   }
 }
 
+// A phantom device runs a process-grid apply as a dry run: compute
+// and collectives are charged, no data moves.
+TEST(GridTimings, PhantomGridApplyChargesComputeAndComm) {
+  device::Device dev(device::make_mi300x(), &util::ThreadPool::global(),
+                     /*phantom=*/true);
+  device::Stream setup(dev);
+  const ProblemDims dims{64, 4, 16};
+  const ShardedOperator sharded(dev, setup, dims, comm::ProcessGrid(2, 2), {});
+  const GlobalProblem p{dims, {}, {}, {}};
+  for (const auto dir :
+       {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    const std::vector<std::vector<double>> ins(2);
+    device::Stream stream(dev);
+    FftMatvecPlan plan(dev, stream, sharded.rank_dims(dir, 0));
+    const std::vector<DistributedMatvecPlan::RankLane> lanes(4, {&plan, nullptr});
+    const std::vector<ConstVectorView> iv(2);
+    const std::vector<VectorView> ov(2);
+    DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+    dist.apply_batch(sharded, dir, PrecisionConfig::parse("dssds"), iv, ov,
+                     lanes);
+    const auto& t = dist.last_timings();
+    EXPECT_GT(t.compute_total(), 0.0);
+    EXPECT_GT(t.comm, 0.0);
+    EXPECT_NEAR(t.makespan, t.total(), 1e-12 * t.total());
+  }
+}
+
 // ----------------------------------------------------- lockstep ==
+// The lockstep mode: every rank of a process grid on one plan and
+// stream, run one after another.
 TEST(Lockstep, BitIdenticalToThreadedBackend) {
   const auto p = make_global(16, 4, 8, 700);
-  const comm::ProcessGrid grid(2, 2);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, grid, p.first_col);
-
   for (const char* cfg_str : {"ddddd", "dssdd", "sssss", "dssds"}) {
     const auto cfg = PrecisionConfig::parse(cfg_str);
-    std::vector<double> d_lockstep(
-        static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d_lockstep, cfg);
-    const auto d_threaded = threaded_forward(p, 2, 2, cfg);
-    EXPECT_EQ(d_lockstep, d_threaded) << cfg_str;
+    EXPECT_EQ(run_grid(p, 2, 2, ApplyDirection::kForward, cfg, {p.m},
+                       CommMode::kBatched, 1, /*one_stream=*/true)
+                  .outputs[0],
+              threaded_forward(p, 2, 2, cfg))
+        << cfg_str;
+    EXPECT_EQ(run_grid(p, 2, 2, ApplyDirection::kAdjoint, cfg, {p.d},
+                       CommMode::kBatched, 1, /*one_stream=*/true)
+                  .outputs[0],
+              threaded_adjoint(p, 2, 2, cfg))
+        << cfg_str << " F*";
   }
 }
 
 TEST(Lockstep, ForwardMatchesSingleRankDouble) {
   const auto p = make_global(32, 4, 16, 800);
+  const auto expect = single_rank_forward(p, PrecisionConfig{});
   for (auto [pr, pc] : {std::pair<index_t, index_t>{1, 8}, {2, 4}, {4, 2}}) {
-    device::Device dev(device::make_mi300x());
-    device::Stream stream(dev);
-    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, pc),
-                            p.first_col);
-    std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d, PrecisionConfig{});
-    const auto expect = single_rank_forward(p, PrecisionConfig{});
+    const auto d = run_grid(p, pr, pc, ApplyDirection::kForward,
+                            PrecisionConfig{}, {p.m}, CommMode::kBatched, 1,
+                            /*one_stream=*/true)
+                       .outputs[0];
     EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(d.size()), d.data(),
                                       expect.data()),
               1e-13)
@@ -307,12 +383,9 @@ TEST(Lockstep, ForwardMatchesSingleRankDouble) {
 
 TEST(Lockstep, AdjointMatchesSingleRankDouble) {
   const auto p = make_global(32, 4, 16, 900);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(2, 4),
-                          p.first_col);
-  std::vector<double> m(static_cast<std::size_t>(p.dims.n_t * p.dims.n_m));
-  cluster.adjoint(p.d, m, PrecisionConfig{});
+  const auto m = run_grid(p, 2, 4, ApplyDirection::kAdjoint, PrecisionConfig{},
+                          {p.d}, CommMode::kBatched, 1, /*one_stream=*/true)
+                     .outputs[0];
   const auto expect = single_rank_adjoint(p, PrecisionConfig{});
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(m.size()), m.data(),
                                     expect.data()),
@@ -320,29 +393,18 @@ TEST(Lockstep, AdjointMatchesSingleRankDouble) {
 }
 
 TEST(Lockstep, ManyRankSimulationStaysAccurate) {
-  // 32 simulated ranks — beyond what the threaded backend should be
-  // asked to do, exactly the lockstep cluster's purpose.
+  // 32 simulated ranks — beyond what the threaded reference should be
+  // asked to do, exactly the lockstep mode's purpose.
   const auto p = make_global(64, 8, 16, 1000);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(4, 8),
-                          p.first_col);
-  std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-  cluster.forward(p.m, d, PrecisionConfig::parse("dssdd"));
+  const auto run = run_grid(p, 4, 8, ApplyDirection::kForward,
+                            PrecisionConfig::parse("dssdd"), {p.m},
+                            CommMode::kBatched, 1, /*one_stream=*/true);
   const auto baseline = single_rank_forward(p, PrecisionConfig{});
+  const auto& d = run.outputs[0];
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(d.size()), d.data(),
                                     baseline.data()),
             1e-5);
-  EXPECT_GT(cluster.max_rank_compute_seconds(), 0.0);
-}
-
-TEST(Lockstep, RejectsUnevenSplits) {
-  const auto p = make_global(10, 3, 8, 1100);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  EXPECT_THROW(LockstepCluster(dev, stream, p.dims, comm::ProcessGrid(2, 4),
-                               p.first_col),
-               std::invalid_argument);
+  EXPECT_GT(run.timings.compute_total(), 0.0);
 }
 
 // --------------------------------------------- Figure-4 error shape
@@ -356,18 +418,93 @@ TEST(Lockstep, ErrorGrowsWhenGridRowsGrow) {
 
   std::map<index_t, double> err_by_rows;
   for (index_t pr : {1, 4}) {
-    device::Device dev(device::make_mi300x());
-    device::Stream stream(dev);
-    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, 8 / pr),
-                            p.first_col);
-    std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d, cfg);
+    const auto d = run_grid(p, pr, 8 / pr, ApplyDirection::kForward, cfg,
+                            {p.m}, CommMode::kBatched, 1, /*one_stream=*/true)
+                       .outputs[0];
     err_by_rows[pr] = blas::relative_l2_error(static_cast<index_t>(d.size()),
                                               d.data(), baseline.data());
   }
   EXPECT_GT(err_by_rows[4], err_by_rows[1] * 0.5);
   EXPECT_LT(err_by_rows[1], 1e-5);
   EXPECT_LT(err_by_rows[4], 1e-4);
+}
+
+// ------------------------------------------------- process grids
+// Batching, pipelined chunks and ragged splits on the paper's 2-D
+// grid: every variant is bit-identical to the threaded reference.
+class GridApply : public ::testing::TestWithParam<
+                      std::tuple<std::pair<index_t, index_t>, std::string>> {};
+
+TEST_P(GridApply, BatchedMatchesPerRequestAndThreadedReference) {
+  const auto [grid, cfg_str] = GetParam();
+  const auto [pr, pc] = grid;
+  const auto p = make_global(24, 4, 16, 3000);
+  const auto cfg = PrecisionConfig::parse(cfg_str);
+  for (const auto dir :
+       {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    const auto ins = make_rhs(p, dir, 3);
+    const auto batched = run_grid(p, pr, pc, dir, cfg, ins, CommMode::kBatched);
+    const auto per_req =
+        run_grid(p, pr, pc, dir, cfg, ins, CommMode::kPerRequest);
+    EXPECT_EQ(batched.outputs, per_req.outputs);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      EXPECT_EQ(batched.outputs[i],
+                threaded_apply(p, pr, pc, dir, cfg, ins[i]))
+          << "RHS " << i << (dir == ApplyDirection::kAdjoint ? " F*" : " F");
+    }
+  }
+}
+
+TEST_P(GridApply, PipelinedChunksMatchSerial) {
+  const auto [grid, cfg_str] = GetParam();
+  const auto [pr, pc] = grid;
+  const auto p = make_global(24, 4, 16, 3100);
+  const auto cfg = PrecisionConfig::parse(cfg_str);
+  for (const auto dir :
+       {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    const auto ins = make_rhs(p, dir, 3);
+    EXPECT_EQ(run_grid(p, pr, pc, dir, cfg, ins, CommMode::kBatched, 1).outputs,
+              run_grid(p, pr, pc, dir, cfg, ins, CommMode::kBatched, 3).outputs)
+        << (dir == ApplyDirection::kAdjoint ? "F*" : "F");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GridsAndConfigs, GridApply,
+    ::testing::Combine(::testing::Values(std::pair<index_t, index_t>{1, 2},
+                                         std::pair<index_t, index_t>{2, 1},
+                                         std::pair<index_t, index_t>{2, 2},
+                                         std::pair<index_t, index_t>{1, 4},
+                                         std::pair<index_t, index_t>{4, 1}),
+                       ::testing::Values(std::string("ddddd"),
+                                         std::string("dssdd"),
+                                         std::string("sssss"),
+                                         std::string("dssds"))),
+    [](const auto& info) {
+      return std::to_string(std::get<0>(info.param).first) + "x" +
+             std::to_string(std::get<0>(info.param).second) + "_" +
+             std::get<1>(info.param);
+    });
+
+TEST(GridApplyDetail, RaggedGridMatchesThreadedReference) {
+  // n_m = 10 over 2 grid columns (5, 5) and n_d = 5 over 3 grid rows
+  // (2, 2, 1): rank shapes differ, so every rank has its own plan.
+  const auto p = make_global(10, 5, 8, 3200);
+  for (const auto dir :
+       {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    for (const char* cfg_str : {"ddddd", "dssdd", "sssss", "dssds"}) {
+      const auto cfg = PrecisionConfig::parse(cfg_str);
+      const auto ins = make_rhs(p, dir, 3);
+      const auto serial = run_grid(p, 3, 2, dir, cfg, ins);
+      EXPECT_EQ(serial.outputs,
+                run_grid(p, 3, 2, dir, cfg, ins, CommMode::kBatched, 3).outputs)
+          << cfg_str;
+      for (std::size_t i = 0; i < ins.size(); ++i) {
+        EXPECT_EQ(serial.outputs[i], threaded_apply(p, 3, 2, dir, cfg, ins[i]))
+            << cfg_str << " RHS " << i;
+      }
+    }
+  }
 }
 
 // --------------------------------------------- sharded rank groups
@@ -378,59 +515,18 @@ TEST(Lockstep, ErrorGrowsWhenGridRowsGrow) {
 // directions, ragged partitions, both comm modes and pipelined
 // chunking.
 
-struct ShardedRun {
-  std::vector<std::vector<double>> outputs;
-  PhaseTimings timings;
-  std::vector<PhaseTimings> shares;
-  double setup_seconds = 0.0;
-};
-
-/// Build a ShardedOperator at `ranks`, drive one batched apply of `b`
-/// deterministic right-hand sides through DistributedMatvecPlan on
-/// per-rank stream pairs, and return outputs + timings.  ranks == 1
-/// is the single-rank reference (same inputs by construction).
+/// Build a ShardedOperator at `ranks` and drive one batched apply of
+/// `b` deterministic right-hand sides through DistributedMatvecPlan on
+/// per-rank stream pairs.  ranks == 1 is the single-rank reference
+/// (same inputs by construction).
 ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
                        ApplyDirection dir, const PrecisionConfig& cfg,
                        index_t b, CommMode mode = CommMode::kBatched,
                        index_t chunks = 1) {
   device::Device dev(device::make_mi300x());
   device::Stream setup(dev);
-  ShardedOperator sharded(dev, setup, p.dims, ranks, p.first_col);
-
-  std::vector<std::unique_ptr<device::Stream>> streams, auxes;
-  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
-  std::vector<DistributedMatvecPlan::RankLane> lanes;
-  for (index_t r = 0; r < ranks; ++r) {
-    streams.push_back(std::make_unique<device::Stream>(dev));
-    auxes.push_back(std::make_unique<device::Stream>(dev));
-    plans.push_back(std::make_unique<FftMatvecPlan>(dev, *streams.back(),
-                                                    sharded.rank_dims(dir, r)));
-    lanes.push_back({plans.back().get(), auxes.back().get()});
-  }
-
-  const bool forward = dir == ApplyDirection::kForward;
-  const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
-  const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
-  ShardedRun run;
-  std::vector<std::vector<double>> ins(static_cast<std::size_t>(b));
-  run.outputs.resize(static_cast<std::size_t>(b));
-  std::vector<ConstVectorView> iv(static_cast<std::size_t>(b));
-  std::vector<VectorView> ov(static_cast<std::size_t>(b));
-  for (index_t i = 0; i < b; ++i) {
-    ins[static_cast<std::size_t>(i)] =
-        make_input_vector(in_len, 4242 + 13 * static_cast<std::uint64_t>(i));
-    run.outputs[static_cast<std::size_t>(i)].resize(
-        static_cast<std::size_t>(out_len));
-    iv[static_cast<std::size_t>(i)] = ins[static_cast<std::size_t>(i)];
-    ov[static_cast<std::size_t>(i)] = run.outputs[static_cast<std::size_t>(i)];
-  }
-
-  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
-  dist.apply_batch(sharded, dir, cfg, iv, ov, lanes, mode, chunks);
-  run.timings = dist.last_timings();
-  run.shares = dist.last_batch_timings();
-  run.setup_seconds = setup.now();
-  return run;
+  const ShardedOperator sharded(dev, setup, p.dims, ranks, p.first_col);
+  return run_on(dev, sharded, dir, cfg, make_rhs(p, dir, b), mode, chunks);
 }
 
 // The config is held as a std::string, not a const char*: gtest prints a
@@ -553,6 +649,10 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
                std::invalid_argument);
   EXPECT_THROW(ShardedOperator(dev, stream, p.dims, 0, p.first_col),
                std::invalid_argument);
+  // Likewise a process grid with more rows than sensors.
+  EXPECT_THROW(ShardedOperator(dev, stream, p.dims, comm::ProcessGrid(4, 1),
+                               p.first_col),
+               std::invalid_argument);
 
   // A rank plan whose dims do not match its shard is rejected.
   ShardedOperator sharded(dev, stream, p.dims, 2, p.first_col);
@@ -566,6 +666,26 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   EXPECT_THROW(dist.apply_batch(sharded, ApplyDirection::kForward,
                                 PrecisionConfig{}, iv, ov, lanes),
                std::invalid_argument);
+
+  // A short output or input view is rejected before the group syncs or
+  // any collective is charged: every rank stream keeps its clock.
+  device::Stream s0(dev), s1(dev);
+  s0.advance(1e-3);
+  FftMatvecPlan p0(dev, s0, sharded.rank_dims(ApplyDirection::kForward, 0));
+  FftMatvecPlan p1(dev, s1, sharded.rank_dims(ApplyDirection::kForward, 1));
+  const std::vector<DistributedMatvecPlan::RankLane> good{{&p0, nullptr},
+                                                          {&p1, nullptr}};
+  std::vector<double> short_in(in.size() - 1), short_out(out.size() - 1);
+  const std::vector<ConstVectorView> short_iv{short_in};
+  const std::vector<VectorView> short_ov{short_out};
+  for (const auto& [civ, cov] :
+       {std::pair{iv, short_ov}, std::pair{short_iv, ov}}) {
+    EXPECT_THROW(dist.apply_batch(sharded, ApplyDirection::kForward,
+                                  PrecisionConfig{}, civ, cov, good),
+                 std::invalid_argument);
+    EXPECT_EQ(s0.now(), 1e-3);
+    EXPECT_EQ(s1.now(), 0.0);
+  }
 }
 
 }  // namespace

@@ -338,20 +338,6 @@ TEST(PhantomMatvec, PaperScaleDryRunMatchesReducedScaleStructure) {
   EXPECT_LT(t.compute_total(), 2e-2);
 }
 
-TEST(PhantomMatvec, DistributedApplyRejected) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  device::Device dev(device::make_mi300x(), &pool, /*phantom=*/true);
-  device::Stream stream(dev);
-  const ProblemDims dims{64, 4, 16};
-  const auto local = LocalDims::single_rank(dims);
-  BlockToeplitzOperator op(dev, stream, local, {});
-  FftMatvecPlan plan(dev, stream, local);
-  comm::RankComms comms;  // dummy
-  std::vector<double> empty;
-  EXPECT_THROW(plan.forward(op, {}, empty, PrecisionConfig{}, &comms),
-               std::logic_error);
-}
-
 // ------------------------------------------------------ validation
 TEST_F(MatvecFixture, WrongExtentsThrow) {
   auto p = make_problem(16, 2, 8, 4);
@@ -380,7 +366,9 @@ TEST_F(MatvecFixture, PartialSinkPrecisionMismatchThrows) {
   BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
   FftMatvecPlan plan(dev_, stream_, local);
   FftMatvecPlan::PartialSink sink;  // no pointers set
-  EXPECT_THROW(plan.forward_partial(op, p.m, sink, PrecisionConfig{}),
+  const ConstVectorView ins[] = {p.m};
+  EXPECT_THROW(plan.apply_partial(op, ApplyDirection::kForward,
+                                  PrecisionConfig{}, ins, sink),
                std::invalid_argument);
 }
 
@@ -1055,11 +1043,10 @@ TEST(SingleRhsIsBatchOfOne, OutputsAndTimingsMatchForAllConfigs) {
         } else {
           sink.d = part_d.data();
         }
-        if (adjoint) {
-          single.adjoint_partial(op, in, sink, cfg);
-        } else {
-          single.forward_partial(op, in, sink, cfg);
-        }
+        single.apply_partial(op,
+                             adjoint ? ApplyDirection::kAdjoint
+                                     : ApplyDirection::kForward,
+                             cfg, ins, sink);
         if (p5_single) {
           part_d.assign(part_f.begin(), part_f.end());
         }

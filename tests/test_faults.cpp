@@ -84,8 +84,10 @@ std::vector<std::vector<double>> clean_outputs(
   const TenantId t = sched.add_tenant(dims, col, rank_group);
   std::vector<std::future<MatvecResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, in));
+    futures.push_back(sched.submit(Request{.tenant = t,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = in}));
   }
   std::vector<std::vector<double>> outs;
   for (auto& f : futures) {
@@ -634,8 +636,10 @@ TEST(ServeFaults, TransientFaultRetriesBitIdentically) {
   const TenantId t = sched.add_tenant(small_dims(), col);
   // Warm the plan cache and chunk resolution so the faulted dispatch
   // exercises only the apply path.
-  sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-               inputs[0])
+  sched.submit(Request{.tenant = t,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig{},
+                       .input = inputs[0]})
       .get();
   auto faults = std::make_shared<FaultPlan>();
   faults->fail_kernel_launches(0, 1);  // first launch of the next batch
@@ -643,8 +647,10 @@ TEST(ServeFaults, TransientFaultRetriesBitIdentically) {
 
   std::vector<std::future<MatvecResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, in));
+    futures.push_back(sched.submit(Request{.tenant = t,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = in}));
   }
   for (std::size_t r = 0; r < futures.size(); ++r) {
     const auto res = futures[r].get();
@@ -677,8 +683,10 @@ TEST(ServeFaults, QuarantineIsolatesPoisonedRequest) {
 
   AsyncScheduler sched(device::make_mi300x(), opts);
   const TenantId t = sched.add_tenant(small_dims(), col);
-  sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-               inputs[0])
+  sched.submit(Request{.tenant = t,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig{},
+                       .input = inputs[0]})
       .get();
   // Launch 0 fails the FUSED batch (budget 0 -> quarantine); launch 1
   // is the first launch of request 0's SOLO re-dispatch, so request 0
@@ -689,8 +697,10 @@ TEST(ServeFaults, QuarantineIsolatesPoisonedRequest) {
 
   std::vector<std::future<MatvecResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, in));
+    futures.push_back(sched.submit(Request{.tenant = t,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = in}));
   }
   std::vector<MatvecResult> results;
   for (auto& f : futures) results.push_back(f.get());
@@ -728,8 +738,10 @@ TEST(ServeFaults, ChecksumDetectsCorruptionAndRecomputesTransparently) {
 
   AsyncScheduler sched(device::make_mi300x(), opts);
   const TenantId t = sched.add_tenant(small_dims(), col);
-  sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-               inputs[0])
+  sched.submit(Request{.tenant = t,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig{},
+                       .input = inputs[0]})
       .get();  // warm the plan cache and chunk resolution
   // The first grouped-GEMV write-back of the next batch is corrupted;
   // the checksum trips, the batch recomputes past the window, and the
@@ -740,8 +752,10 @@ TEST(ServeFaults, ChecksumDetectsCorruptionAndRecomputesTransparently) {
 
   std::vector<std::future<MatvecResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, in));
+    futures.push_back(sched.submit(Request{.tenant = t,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = in}));
   }
   for (std::size_t r = 0; r < futures.size(); ++r) {
     const auto res = futures[r].get();
@@ -776,8 +790,10 @@ TEST(ServeFaults, PersistentCorruptionSurfacesAfterRetryBudget) {
       core::make_first_block_col(core::LocalDims::single_rank(small_dims()), 37);
   AsyncScheduler sched(device::make_mi300x(), opts);
   const TenantId t = sched.add_tenant(small_dims(), col);
-  sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-               inputs[0])
+  sched.submit(Request{.tenant = t,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig{},
+                       .input = inputs[0]})
       .get();
   // EVERY write-back is corrupted: the fused batch detects, the solo
   // quarantine re-dispatches detect again, and the failure must
@@ -788,8 +804,10 @@ TEST(ServeFaults, PersistentCorruptionSurfacesAfterRetryBudget) {
 
   std::vector<std::future<MatvecResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, in));
+    futures.push_back(sched.submit(Request{.tenant = t,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = in}));
   }
   for (auto& f : futures) {
     const auto res = f.get();
@@ -837,8 +855,10 @@ TEST(ServeFaults, RankFailureDegradesToBitIdenticalFallbackThenHeals) {
 
   std::vector<std::future<MatvecResult>> first;
   for (int r = 0; r < 4; ++r) {
-    first.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                 precision::PrecisionConfig{}, inputs[r]));
+    first.push_back(sched.submit(Request{.tenant = t,
+                                         .direction = core::ApplyDirection::kForward,
+                                         .config = precision::PrecisionConfig{},
+                                         .input = inputs[r]}));
   }
   for (int r = 0; r < 4; ++r) {
     const auto res = first[static_cast<std::size_t>(r)].get();
@@ -855,8 +875,10 @@ TEST(ServeFaults, RankFailureDegradesToBitIdenticalFallbackThenHeals) {
 
   std::vector<std::future<MatvecResult>> second;
   for (int r = 4; r < 8; ++r) {
-    second.push_back(sched.submit(t, core::ApplyDirection::kForward,
-                                  precision::PrecisionConfig{}, inputs[r]));
+    second.push_back(sched.submit(Request{.tenant = t,
+                                          .direction = core::ApplyDirection::kForward,
+                                          .config = precision::PrecisionConfig{},
+                                          .input = inputs[r]}));
   }
   for (int r = 4; r < 8; ++r) {
     const auto res = second[static_cast<std::size_t>(r - 4)].get();
@@ -920,8 +942,10 @@ TEST(ServeFaults, ShutdownReturnsFailedFutureOnEverySubmitPath) {
   sched.shutdown();
 
   // Positional overload.
-  auto f1 = sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                         precision::PrecisionConfig{}, input);
+  auto f1 = sched.submit(Request{.tenant = tenant.tenant,
+                                 .direction = core::ApplyDirection::kForward,
+                                 .config = precision::PrecisionConfig{},
+                                 .input = input});
   ASSERT_EQ(f1.wait_for(0s), std::future_status::ready);
   EXPECT_EQ(f1.get().error, ErrorCode::kShutdown);
   // Request-struct overload.
@@ -952,17 +976,20 @@ TEST(ServeFaults, ShutdownRacingInFlightRetryFulfillsEveryFuture) {
   const auto tenant = register_tenant(sched, small_dims(), 23);
   const auto input =
       core::make_input_vector(small_dims().n_t * small_dims().n_m, 24);
-  sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-               precision::PrecisionConfig{}, input)
+  sched.submit(Request{.tenant = tenant.tenant,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig{},
+                       .input = input})
       .get();  // warm
   auto faults = std::make_shared<FaultPlan>();
   faults->fail_kernel_launches(0, 1);
   sched.device().set_fault_plan(faults);
   std::vector<std::future<MatvecResult>> futures;
   for (int r = 0; r < 4; ++r) {
-    futures.push_back(sched.submit(tenant.tenant,
-                                   core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, input));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = input}));
   }
   sched.shutdown();  // drains the in-flight batch THROUGH its retry
   for (auto& f : futures) {
@@ -1054,10 +1081,14 @@ TEST(BoundedAdmission, SchedulerShedsAndRejectsWithAccounting) {
       core::make_input_vector(small_dims().n_t * small_dims().n_m, 30);
 
   // Two best-effort requests park in the linger window.
-  auto be1 = sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                          precision::PrecisionConfig{}, input);
-  auto be2 = sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                          precision::PrecisionConfig{}, input);
+  auto be1 = sched.submit(Request{.tenant = tenant.tenant,
+                                  .direction = core::ApplyDirection::kForward,
+                                  .config = precision::PrecisionConfig{},
+                                  .input = input});
+  auto be2 = sched.submit(Request{.tenant = tenant.tenant,
+                                  .direction = core::ApplyDirection::kForward,
+                                  .config = precision::PrecisionConfig{},
+                                  .input = input});
   // A deadlined arrival at the bound sheds the newest best-effort one.
   Request urgent;
   urgent.tenant = tenant.tenant;
@@ -1065,8 +1096,10 @@ TEST(BoundedAdmission, SchedulerShedsAndRejectsWithAccounting) {
   urgent.qos.deadline_seconds = 30.0;  // far: must not cut linger short
   auto dl = sched.submit(std::move(urgent));
   // A best-effort arrival at the bound is rejected outright.
-  auto be3 = sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                          precision::PrecisionConfig{}, input);
+  auto be3 = sched.submit(Request{.tenant = tenant.tenant,
+                                  .direction = core::ApplyDirection::kForward,
+                                  .config = precision::PrecisionConfig{},
+                                  .input = input});
   const auto rejected = be3.get();  // ready immediately
   EXPECT_EQ(rejected.error, ErrorCode::kQueueFull);
   const auto shed_res = be2.get();  // displaced, also ready

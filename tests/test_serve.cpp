@@ -468,7 +468,10 @@ TEST(AsyncScheduler, BatchedResultsMatchUnbatchedPlanAndDenseReference) {
       inputs.push_back(
           core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 50 + r));
       futures.push_back(
-          sched.submit(tenant.tenant, core::ApplyDirection::kForward, config, inputs.back()));
+          sched.submit(Request{.tenant = tenant.tenant,
+                               .direction = core::ApplyDirection::kForward,
+                               .config = config,
+                               .input = inputs.back()}));
     }
 
     // Unbatched reference: a private device/stream/plan, same config.
@@ -501,8 +504,10 @@ TEST(AsyncScheduler, AdjointServedMatchesDense) {
   const auto tenant = register_tenant(sched, small_dims(), 9);
   const auto local = core::LocalDims::single_rank(tenant.dims);
   const auto d_in = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_d, 11);
-  auto future = sched.submit(tenant.tenant, core::ApplyDirection::kAdjoint,
-                             precision::PrecisionConfig{}, d_in);
+  auto future = sched.submit(Request{.tenant = tenant.tenant,
+                                     .direction = core::ApplyDirection::kAdjoint,
+                                     .config = precision::PrecisionConfig{},
+                                     .input = d_in});
   const auto served = future.get();
   std::vector<double> dense(served.output.size());
   core::dense_adjoint(local, tenant.col, d_in, dense);
@@ -520,8 +525,10 @@ TEST(AsyncScheduler, CacheHitRatePositiveOnRepeatedKeys) {
   const auto input = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 14);
   std::vector<std::future<MatvecResult>> futures;
   for (int r = 0; r < 12; ++r) {
-    futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, input));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = input}));
   }
   sched.drain();
   for (auto& f : futures) f.get();
@@ -556,10 +563,12 @@ TEST(AsyncScheduler, ConcurrentSubmittersDrainCleanly) {
         const index_t n = adjoint ? tenant.dims.n_t * tenant.dims.n_d
                                   : tenant.dims.n_t * tenant.dims.n_m;
         try {
-          futures[static_cast<std::size_t>(t)].push_back(sched.submit(
-              tenant.tenant, adjoint ? core::ApplyDirection::kAdjoint : core::ApplyDirection::kForward,
-              config,
-              core::make_input_vector(n, static_cast<std::uint64_t>(t * 100 + r))));
+          futures[static_cast<std::size_t>(t)].push_back(sched.submit(Request{
+              .tenant = tenant.tenant,
+              .direction =
+                  adjoint ? core::ApplyDirection::kAdjoint : core::ApplyDirection::kForward,
+              .config = config,
+              .input = core::make_input_vector(n, static_cast<std::uint64_t>(t * 100 + r))}));
         } catch (const std::exception&) {
           ++submit_errors;
         }
@@ -592,8 +601,10 @@ TEST(AsyncScheduler, DrainLeavesNothingInFlight) {
   const auto input = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 32);
   std::vector<std::future<MatvecResult>> futures;
   for (int r = 0; r < 8; ++r) {
-    futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, input));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = input}));
   }
   sched.drain();
   using namespace std::chrono_literals;
@@ -610,8 +621,10 @@ TEST(AsyncScheduler, ShutdownIsGracefulAndRefusesNewWork) {
   const auto input = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 42);
   std::vector<std::future<MatvecResult>> futures;
   for (int r = 0; r < 5; ++r) {
-    futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, input));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = input}));
   }
   sched.shutdown();
   for (auto& f : futures) {
@@ -621,8 +634,10 @@ TEST(AsyncScheduler, ShutdownIsGracefulAndRefusesNewWork) {
   // carrying kShutdown, never a synchronous throw (see the error
   // contract on AsyncScheduler).
   using namespace std::chrono_literals;
-  auto refused = sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                              precision::PrecisionConfig{}, input);
+  auto refused = sched.submit(Request{.tenant = tenant.tenant,
+                                      .direction = core::ApplyDirection::kForward,
+                                      .config = precision::PrecisionConfig{},
+                                      .input = input});
   ASSERT_EQ(refused.wait_for(0s), std::future_status::ready);
   EXPECT_EQ(refused.get().error, ErrorCode::kShutdown);
   sched.shutdown();  // idempotent
@@ -631,17 +646,24 @@ TEST(AsyncScheduler, ShutdownIsGracefulAndRefusesNewWork) {
 TEST(AsyncScheduler, SubmitValidatesTenantAndExtent) {
   AsyncScheduler sched(device::make_mi300x());
   const auto tenant = register_tenant(sched, small_dims(), 51);
-  EXPECT_THROW(sched.submit(999, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-                            std::vector<double>(16)),
+  EXPECT_THROW(sched.submit(Request{.tenant = 999,
+                                    .direction = core::ApplyDirection::kForward,
+                                    .config = precision::PrecisionConfig{},
+                                    .input = std::vector<double>(16)}),
                std::invalid_argument);
-  EXPECT_THROW(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                            precision::PrecisionConfig{}, std::vector<double>(3)),
+  EXPECT_THROW(sched.submit(Request{.tenant = tenant.tenant,
+                                    .direction = core::ApplyDirection::kForward,
+                                    .config = precision::PrecisionConfig{},
+                                    .input = std::vector<double>(3)}),
                std::invalid_argument);
   // Adjoint expects n_t x n_d, not n_t x n_m.
   EXPECT_THROW(
-      sched.submit(tenant.tenant, core::ApplyDirection::kAdjoint, precision::PrecisionConfig{},
-                   std::vector<double>(static_cast<std::size_t>(
-                       small_dims().n_t * small_dims().n_m))),
+      sched.submit(Request{
+          .tenant = tenant.tenant,
+          .direction = core::ApplyDirection::kAdjoint,
+          .config = precision::PrecisionConfig{},
+          .input = std::vector<double>(
+              static_cast<std::size_t>(small_dims().n_t * small_dims().n_m))}),
       std::invalid_argument);
 }
 
@@ -656,9 +678,11 @@ TEST(AsyncScheduler, CoalescedBatchExecutesPlanExactlyOnce) {
 
   std::vector<std::future<MatvecResult>> futures;
   for (std::uint64_t r = 0; r < 6; ++r) {
-    futures.push_back(sched.submit(
-        tenant.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-        core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 72 + r)));
+    futures.push_back(sched.submit(Request{
+        .tenant = tenant.tenant,
+        .direction = core::ApplyDirection::kForward,
+        .config = precision::PrecisionConfig{},
+        .input = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 72 + r)}));
   }
   sched.drain();
 
@@ -722,8 +746,10 @@ TEST(AsyncScheduler, CrossTenantRequestsCoalesceIntoOneGroupedExecution) {
     inputs.push_back(
         core::make_input_vector(small_dims().n_t * small_dims().n_m, 110 + r));
     owners.push_back(&tenant);
-    futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, inputs.back()));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = inputs.back()}));
   }
   sched.drain();
 
@@ -767,9 +793,11 @@ TEST(AsyncScheduler, SameTenantOnlyModeKeepsTenantsApart) {
   std::vector<std::future<MatvecResult>> futures;
   for (std::uint64_t r = 0; r < 4; ++r) {
     const auto& tenant = (r % 2 == 0) ? ta : tb;
-    futures.push_back(sched.submit(
-        tenant.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-        core::make_input_vector(small_dims().n_t * small_dims().n_m, 120 + r)));
+    futures.push_back(sched.submit(Request{
+        .tenant = tenant.tenant,
+        .direction = core::ApplyDirection::kForward,
+        .config = precision::PrecisionConfig{},
+        .input = core::make_input_vector(small_dims().n_t * small_dims().n_m, 120 + r)}));
   }
   sched.drain();
   for (auto& f : futures) EXPECT_LE(f.get().batch_size, 2);
@@ -786,11 +814,15 @@ TEST(AsyncScheduler, ConfigsShareOneCachedPlan) {
   AsyncScheduler sched(device::make_mi300x(), opts);
   const auto tenant = register_tenant(sched, small_dims(), 121);
   const auto input = core::make_input_vector(small_dims().n_t * small_dims().n_m, 122);
-  sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-               precision::PrecisionConfig::parse("ddddd"), input)
+  sched.submit(Request{.tenant = tenant.tenant,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig::parse("ddddd"),
+                       .input = input})
       .get();
-  sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-               precision::PrecisionConfig::parse("dssdd"), input)
+  sched.submit(Request{.tenant = tenant.tenant,
+                       .direction = core::ApplyDirection::kForward,
+                       .config = precision::PrecisionConfig::parse("dssdd"),
+                       .input = input})
       .get();
   sched.drain();
   EXPECT_EQ(sched.plan_cache().size(), 1u);
@@ -840,8 +872,10 @@ TEST(AsyncScheduler, PipelinedModeBitIdenticalToSerialAndResolvesChunks) {
                           : chunks);
     std::vector<std::future<MatvecResult>> futures;
     for (const auto& input : inputs) {
-      futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                     precision::PrecisionConfig{}, input));
+      futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                             .direction = core::ApplyDirection::kForward,
+                                             .config = precision::PrecisionConfig{},
+                                             .input = input}));
     }
     sched.drain();
     outputs.emplace_back();
@@ -890,13 +924,17 @@ TEST(AsyncScheduler, GroupedTimingsWeightSbgemvByGroupShare) {
   const auto tb = register_tenant(sched, small_dims(), 132);
 
   std::vector<std::future<MatvecResult>> futures;
-  futures.push_back(sched.submit(
-      ta.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-      core::make_input_vector(small_dims().n_t * small_dims().n_m, 140)));
+  futures.push_back(sched.submit(Request{
+      .tenant = ta.tenant,
+      .direction = core::ApplyDirection::kForward,
+      .config = precision::PrecisionConfig{},
+      .input = core::make_input_vector(small_dims().n_t * small_dims().n_m, 140)}));
   for (std::uint64_t r = 0; r < 3; ++r) {
-    futures.push_back(sched.submit(
-        tb.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-        core::make_input_vector(small_dims().n_t * small_dims().n_m, 141 + r)));
+    futures.push_back(sched.submit(Request{
+        .tenant = tb.tenant,
+        .direction = core::ApplyDirection::kForward,
+        .config = precision::PrecisionConfig{},
+        .input = core::make_input_vector(small_dims().n_t * small_dims().n_m, 141 + r)}));
   }
   sched.drain();
   std::vector<MatvecResult> results;
@@ -938,8 +976,10 @@ TEST(AsyncScheduler, RaggedFinalBatchStaysCorrect) {
   for (std::uint64_t r = 0; r < 6; ++r) {
     inputs.push_back(
         core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 82 + r));
-    futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, inputs.back()));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = inputs.back()}));
   }
   sched.drain();
   for (std::size_t r = 0; r < futures.size(); ++r) {
@@ -995,7 +1035,10 @@ TEST(AsyncScheduler, RequestStructAndPositionalSubmitAreEquivalent) {
       core::make_input_vector(small_dims().n_t * small_dims().n_m, 162);
   const auto config = precision::PrecisionConfig::parse("dssdd");
   const auto positional =
-      sched.submit(tenant.tenant, core::ApplyDirection::kForward, config, input)
+      sched.submit(Request{.tenant = tenant.tenant,
+                           .direction = core::ApplyDirection::kForward,
+                           .config = config,
+                           .input = input})
           .get();
   const auto structured =
       sched
@@ -1166,10 +1209,11 @@ TEST(AsyncScheduler, PinnedPlanSurvivesCachePressure) {
   for (int round = 0; round < 3; ++round) {
     for (const auto* t : {&tb, &tc, &td}) {
       sched
-          .submit(t->tenant, core::ApplyDirection::kForward,
-                  precision::PrecisionConfig{},
-                  core::make_input_vector(t->dims.n_t * t->dims.n_m,
-                                          210 + round))
+          .submit(Request{
+              .tenant = t->tenant,
+              .direction = core::ApplyDirection::kForward,
+              .config = precision::PrecisionConfig{},
+              .input = core::make_input_vector(t->dims.n_t * t->dims.n_m, 210 + round)})
           .get();
     }
   }
@@ -1397,9 +1441,10 @@ TEST(ServeTrace, EndToEndSpanStructureAndPipelineOverlap) {
   trace::start();
   std::vector<std::future<MatvecResult>> futures;
   for (int r = 0; r < 8; ++r) {
-    futures.push_back(sched.submit(tenant.tenant,
-                                   core::ApplyDirection::kForward,
-                                   precision::PrecisionConfig{}, input));
+    futures.push_back(sched.submit(Request{.tenant = tenant.tenant,
+                                           .direction = core::ApplyDirection::kForward,
+                                           .config = precision::PrecisionConfig{},
+                                           .input = input}));
   }
   for (auto& f : futures) f.get();
   sched.drain();
@@ -1516,8 +1561,10 @@ TEST(ServeTrace, DisabledTracingServesWithZeroEvents) {
   const auto input =
       core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 92);
   sched
-      .submit(tenant.tenant, core::ApplyDirection::kForward,
-              precision::PrecisionConfig{}, input)
+      .submit(Request{.tenant = tenant.tenant,
+                      .direction = core::ApplyDirection::kForward,
+                      .config = precision::PrecisionConfig{},
+                      .input = input})
       .get();
   sched.drain();
   EXPECT_EQ(trace::stats().events, 0u);
@@ -1529,8 +1576,10 @@ TEST(AsyncScheduler, MetricsTablesRender) {
   const auto tenant = register_tenant(sched, small_dims(), 61);
   const auto input = core::make_input_vector(tenant.dims.n_t * tenant.dims.n_m, 62);
   sched
-      .submit(tenant.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-              input)
+      .submit(Request{.tenant = tenant.tenant,
+                      .direction = core::ApplyDirection::kForward,
+                      .config = precision::PrecisionConfig{},
+                      .input = input})
       .get();
   sched.drain();
   std::ostringstream os;
@@ -1577,8 +1626,14 @@ TEST(AsyncScheduler, ShardedTenantServedBitIdenticalToUnsharded) {
       for (std::uint64_t r = 0; r < 5; ++r) {
         inputs.push_back(core::make_input_vector(
             static_cast<index_t>(in_len), 90 + r));
-        fp.push_back(plain.submit(t_plain, direction, config, inputs.back()));
-        fs.push_back(sharded.submit(t_shard, direction, config, inputs.back()));
+        fp.push_back(plain.submit(Request{.tenant = t_plain,
+                                          .direction = direction,
+                                          .config = config,
+                                          .input = inputs.back()}));
+        fs.push_back(sharded.submit(Request{.tenant = t_shard,
+                                            .direction = direction,
+                                            .config = config,
+                                            .input = inputs.back()}));
       }
       for (std::size_t r = 0; r < fp.size(); ++r) {
         const auto a = fp[r].get();
@@ -1616,8 +1671,10 @@ TEST(AsyncScheduler, ShardedBatchesPopulateRankPlansInSharedCache) {
       core::make_first_block_col(core::LocalDims::single_rank(dims), 81);
   const TenantId t = sched.add_tenant(dims, col, /*rank_group=*/2);
   sched
-      .submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
-              core::make_input_vector(dims.n_t * dims.n_m, 82))
+      .submit(Request{.tenant = t,
+                      .direction = core::ApplyDirection::kForward,
+                      .config = precision::PrecisionConfig{},
+                      .input = core::make_input_vector(dims.n_t * dims.n_m, 82)})
       .get();
   sched.drain();
   // Rank 0 shares the lane's plain cache slot (same stream, same
@@ -1657,10 +1714,14 @@ TEST(AsyncScheduler, ShardedTenantStaysOutOfCrossTenantGroups) {
   for (std::uint64_t r = 0; r < 3; ++r) {
     in_a.push_back(core::make_input_vector(dims.n_t * dims.n_m, 310 + r));
     in_b.push_back(core::make_input_vector(dims.n_t * dims.n_m, 320 + r));
-    fa.push_back(sched.submit(ta, core::ApplyDirection::kForward,
-                              precision::PrecisionConfig{}, in_a.back()));
-    fb.push_back(sched.submit(tb, core::ApplyDirection::kForward,
-                              precision::PrecisionConfig{}, in_b.back()));
+    fa.push_back(sched.submit(Request{.tenant = ta,
+                                      .direction = core::ApplyDirection::kForward,
+                                      .config = precision::PrecisionConfig{},
+                                      .input = in_a.back()}));
+    fb.push_back(sched.submit(Request{.tenant = tb,
+                                      .direction = core::ApplyDirection::kForward,
+                                      .config = precision::PrecisionConfig{},
+                                      .input = in_b.back()}));
   }
   const auto check = [&](std::vector<std::future<MatvecResult>>& fs,
                          const std::vector<std::vector<double>>& ins,
@@ -1735,9 +1796,10 @@ TEST(AsyncScheduler, DrainMidShardedFlightFulfillsEveryFuture) {
   std::vector<std::future<MatvecResult>> futures;
   for (std::uint64_t r = 0; r < 16; ++r) {
     futures.push_back(
-        sched.submit(t, core::ApplyDirection::kForward,
-                     precision::PrecisionConfig{},
-                     core::make_input_vector(dims.n_t * dims.n_m, 200 + r)));
+        sched.submit(Request{.tenant = t,
+                             .direction = core::ApplyDirection::kForward,
+                             .config = precision::PrecisionConfig{},
+                             .input = core::make_input_vector(dims.n_t * dims.n_m, 200 + r)}));
   }
   sched.drain();
   using namespace std::chrono_literals;
@@ -1749,9 +1811,10 @@ TEST(AsyncScheduler, DrainMidShardedFlightFulfillsEveryFuture) {
   EXPECT_EQ(snap.completed, 16);
   EXPECT_GT(snap.sharded_batches, 0);
   sched.shutdown();
-  auto refused = sched.submit(t, core::ApplyDirection::kForward,
-                              precision::PrecisionConfig{},
-                              core::make_input_vector(dims.n_t * dims.n_m, 999));
+  auto refused = sched.submit(Request{.tenant = t,
+                                      .direction = core::ApplyDirection::kForward,
+                                      .config = precision::PrecisionConfig{},
+                                      .input = core::make_input_vector(dims.n_t * dims.n_m, 999)});
   EXPECT_EQ(refused.get().error, ErrorCode::kShutdown);
 }
 
