@@ -52,10 +52,11 @@
 //                    F/2 per allocation of an injected OOM), sampled
 //                    from -fault-seed via device::FaultPlan and
 //                    attached AFTER tenant setup so only the request
-//                    path is exposed.  Faulted batches retry with
-//                    backoff and quarantine (see ServeOptions); the
-//                    errors/resilience tables report the outcome.  0
-//                    (default) = no injection
+//                    path is exposed.  Faulted batches wait out
+//                    their retry backoff back in the request queue
+//                    (no lane sleeps), then quarantine (see
+//                    ServeOptions); the errors/resilience tables
+//                    report the outcome.  0 (default) = no injection
 //   -fault-seed S    seed for the fault plan's Bernoulli draws; the
 //                    same seed and workload replays the same faults
 //   -verify M        ABFT verification mode: off (default), checksum

@@ -191,7 +191,10 @@ class FftMatvecPlan {
   /// last_timings() afterwards holds the totals for the whole batch
   /// and last_batch_timings() the per-RHS shares.
   /// `pipeline` requests chunked dual-stream execution (bit-identical
-  /// outputs, lower makespan — see BatchPipeline).
+  /// outputs, lower makespan — see BatchPipeline).  Precondition:
+  /// finite inputs.  A NaN/Inf propagates into the outputs, and with
+  /// verify on trips the checks (SilentCorruption) on every attempt,
+  /// so the serving layer rejects such input at submit.
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,

@@ -44,11 +44,6 @@ void ServeMetrics::record_submit() {
   if (first_submit_wall_ < 0.0) first_submit_wall_ = wall_now();
 }
 
-void ServeMetrics::undo_submit() {
-  std::lock_guard lock(mutex_);
-  --counters_.submitted;
-}
-
 void ServeMetrics::record_request(double queue_seconds, double exec_seconds,
                                   ErrorCode error, std::uint64_t session,
                                   bool had_deadline, bool missed, int retries) {
@@ -129,34 +124,9 @@ void ServeMetrics::close_session(std::uint64_t session) {
   }
 }
 
-void ServeMetrics::record_retry() {
+void ServeMetrics::count(std::int64_t MetricsSnapshot::*counter) {
   std::lock_guard lock(mutex_);
-  ++counters_.retries_attempted;
-}
-
-void ServeMetrics::record_rank_failure() {
-  std::lock_guard lock(mutex_);
-  ++counters_.rank_failures;
-}
-
-void ServeMetrics::record_degraded_batch() {
-  std::lock_guard lock(mutex_);
-  ++counters_.degraded_batches;
-}
-
-void ServeMetrics::record_sdc_detection() {
-  std::lock_guard lock(mutex_);
-  ++counters_.sdc_detected;
-}
-
-void ServeMetrics::record_sdc_recompute() {
-  std::lock_guard lock(mutex_);
-  ++counters_.sdc_recomputes;
-}
-
-void ServeMetrics::record_sdc_false_positive() {
-  std::lock_guard lock(mutex_);
-  ++counters_.sdc_false_positives;
+  ++(counters_.*counter);
 }
 
 void ServeMetrics::record_batch(int size, double sim_seconds) {

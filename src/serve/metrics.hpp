@@ -117,7 +117,7 @@ struct MetricsSnapshot {
   /// ABFT verification failures observed on dispatch attempts (each
   /// one triggered a re-dispatch through the retry machinery).
   std::int64_t sdc_detected = 0;
-  /// Ranges that completed verified-clean after at least one SDC
+  /// Dispatches that completed verified-clean after at least one SDC
   /// detection — the corruption was transient and the recompute is
   /// bit-identical to a never-corrupted run.
   std::int64_t sdc_recomputes = 0;
@@ -180,9 +180,6 @@ struct MetricsSnapshot {
 class ServeMetrics {
  public:
   void record_submit();
-  /// Roll back a record_submit whose request was never accepted
-  /// (submit raced a shutdown).
-  void undo_submit();
   /// One fulfilled (or failed) request.  `error` is kOk for a
   /// success, otherwise the failure code (which also feeds the
   /// shed/rejected counters for those codes); `session` is 0 for
@@ -193,19 +190,10 @@ class ServeMetrics {
                       ErrorCode error, std::uint64_t session = 0,
                       bool had_deadline = false, bool missed = false,
                       int retries = 0);
-  /// One re-dispatch of previously-faulted work (batch-level retry or
-  /// per-request quarantine re-dispatch).
-  void record_retry();
-  /// One sharded dispatch aborted by a down rank.
-  void record_rank_failure();
-  /// One batch completed on the degraded single-rank fallback.
-  void record_degraded_batch();
-  /// One ABFT verification failure on a dispatch attempt.
-  void record_sdc_detection();
-  /// One range that completed clean after an SDC detection.
-  void record_sdc_recompute();
-  /// One request surfaced with kSilentCorruption (budget exhausted).
-  void record_sdc_false_positive();
+  /// Bump one plain event counter of the snapshot (retries_attempted,
+  /// rank_failures, degraded_batches and the sdc_* counts; each field
+  /// documents what it counts).
+  void count(std::int64_t MetricsSnapshot::*counter);
   void record_batch(int size, double sim_seconds);
   void record_cache(std::int64_t hits, std::int64_t misses, std::int64_t evictions);
   /// Per-lane utilisation sample, taken by the OWNING lane thread at

@@ -31,18 +31,13 @@ RequestQueue::RequestQueue(int max_batch, double linger_seconds, int max_groups,
       deadline_aware_(deadline_aware),
       max_queue_depth_(max_queue_depth),
       policy_(policy) {
-  if (max_batch_ < 1) {
-    throw std::invalid_argument("RequestQueue: max_batch must be >= 1");
-  }
-  if (linger_seconds_ < 0.0) {
-    throw std::invalid_argument("RequestQueue: linger must be >= 0");
-  }
-  if (max_groups_ < 0) {
-    throw std::invalid_argument("RequestQueue: max_groups must be >= 0");
-  }
-  if (max_queue_depth_ < 0) {
-    throw std::invalid_argument("RequestQueue: max_queue_depth must be >= 0");
-  }
+  const auto require = [](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string("RequestQueue: ") + rule);
+  };
+  require(max_batch_ >= 1, "max_batch must be >= 1");
+  require(linger_seconds_ >= 0.0, "linger must be >= 0");
+  require(max_groups_ >= 0, "max_groups must be >= 0");
+  require(max_queue_depth_ >= 0, "max_queue_depth must be >= 0");
 }
 
 std::optional<PendingRequest> RequestQueue::shed_newest_best_effort() {
@@ -107,35 +102,7 @@ RequestQueue::PushOutcome RequestQueue::push(const BatchKey& key,
       }
     }
     request.seq = next_seq_++;
-    auto [it, inserted] = queues_.try_emplace(key);
-    KeyQueue& kq = it->second;
-    if (kq.q.empty()) {
-      // (Re)activation: join the blind rotation at the back and pick
-      // up the SFQ start tag — the global virtual time, or the key's
-      // old finish tag if it deactivated ahead of it (so an
-      // empty-and-refill cannot out-run fairness).  A stale finish
-      // tag is pruned here on reactivation; tags of keys that never
-      // return are swept opportunistically in pop_batch.
-      rotation_.push_back(key);
-      kq.vstart = vtime_;
-      kq.activation = next_activation_++;
-      if (const auto fin = vfinish_.find(key); fin != vfinish_.end()) {
-        kq.vstart = std::max(kq.vstart, fin->second);
-        vfinish_.erase(fin);
-      }
-    }
-    if (deadline_aware_) {
-      // EDF insert: before the first pending request this one beats.
-      const auto pos = std::upper_bound(
-          kq.q.begin(), kq.q.end(), request,
-          [](const PendingRequest& a, const PendingRequest& b) {
-            return edf_before(a, b);
-          });
-      kq.q.insert(pos, std::move(request));
-    } else {
-      kq.q.push_back(std::move(request));
-    }
-    ++total_pending_;
+    insert(key, std::move(request));
   }
   // Wake every consumer: one takes the batch when it fills, the rest
   // re-evaluate their linger deadlines.
@@ -143,8 +110,47 @@ RequestQueue::PushOutcome RequestQueue::push(const BatchKey& key,
   return out;
 }
 
-std::chrono::steady_clock::time_point RequestQueue::release_time(
-    const KeyQueue& kq) const {
+void RequestQueue::requeue(const BatchKey& key, PendingRequest request) {
+  request.retrying = true;
+  {
+    std::lock_guard lock(mutex_);
+    insert(key, std::move(request));
+  }
+  cv_.notify_all();
+}
+
+void RequestQueue::insert(const BatchKey& key, PendingRequest request) {
+  auto [it, inserted] = queues_.try_emplace(key);
+  KeyQueue& kq = it->second;
+  if (kq.q.empty()) {
+    // (Re)activation: join the blind rotation at the back and pick
+    // up the SFQ start tag — the global virtual time, or the key's
+    // old finish tag if it deactivated ahead of it (so an
+    // empty-and-refill cannot out-run fairness).  A stale finish
+    // tag is pruned here on reactivation; tags of keys that never
+    // return are swept opportunistically in pop_batch.
+    rotation_.push_back(key);
+    kq.vstart = vtime_;
+    kq.activation = next_activation_++;
+    if (const auto fin = vfinish_.find(key); fin != vfinish_.end()) {
+      kq.vstart = std::max(kq.vstart, fin->second);
+      vfinish_.erase(fin);
+    }
+  }
+  // Before the first pending request this one beats: EDF order, or
+  // arrival order in the blind mode (a fresh push lands at the back; a
+  // requeued request returns to its old place).
+  const auto pos = std::upper_bound(
+      kq.q.begin(), kq.q.end(), request,
+      [this](const PendingRequest& a, const PendingRequest& b) {
+        return deadline_aware_ ? edf_before(a, b) : a.seq < b.seq;
+      });
+  kq.q.insert(pos, std::move(request));
+  ++total_pending_;
+}
+
+time_point RequestQueue::release_time(const KeyQueue& kq) const {
+  const PendingRequest& front = kq.q.front();
   const auto linger = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(linger_seconds_));
   // Linger runs from the OLDEST pending arrival (EDF reorders the
@@ -152,15 +158,17 @@ std::chrono::steady_clock::time_point RequestQueue::release_time(
   time_point oldest = time_point::max();
   for (const auto& req : kq.q) oldest = std::min(oldest, req.enqueued);
   time_point release = oldest + linger;
-  if (deadline_aware_) {
-    // An imminent deadline cancels the remaining linger: waiting for
-    // batch companions must never spend latency the deadline cannot
-    // afford.  The EDF front carries the key's earliest deadline.
-    if (!kq.q.empty() && kq.q.front().has_deadline()) {
-      release = std::min(release, kq.q.front().deadline);
-    }
+  // An imminent deadline cancels the remaining linger: waiting for
+  // batch companions must never spend latency the deadline cannot
+  // afford.  The EDF front carries the key's earliest deadline.
+  if (deadline_aware_ && front.has_deadline()) {
+    release = std::min(release, front.deadline);
   }
-  return release;
+  if (closed_ || static_cast<int>(kq.q.size()) >= max_batch_) {
+    release = time_point::min();
+  }
+  // A retry's backoff holds the key even while draining.
+  return std::max(release, front.not_before);
 }
 
 std::optional<Batch> RequestQueue::pop_batch() {
@@ -171,25 +179,25 @@ std::optional<Batch> RequestQueue::pop_batch() {
       cv_.wait(lock);
       continue;
     }
-    // Collect the dispatchable keys (full, past release time, or
-    // draining after close); among them the scheduling discipline
-    // picks the winner.  A key still gathering company inside its
-    // linger window is skipped, so a ready key is never head-of-line
-    // blocked behind a lingering one.
+    // Collect the dispatchable keys (past their release time: full,
+    // lingered, deadline-cut or draining, and past any retry backoff);
+    // among them the scheduling discipline picks the winner.  A key
+    // still gathering company inside its linger window is skipped, so
+    // a ready key is never head-of-line blocked behind a lingering one.
     const auto now = std::chrono::steady_clock::now();
     auto ready = rotation_.end();
+    auto ready_release = time_point::min();
     auto earliest_release = time_point::max();
     for (auto it = rotation_.begin(); it != rotation_.end(); ++it) {
       const KeyQueue& kq = queues_.at(*it);
-      const bool dispatchable = closed_ ||
-                                static_cast<int>(kq.q.size()) >= max_batch_ ||
-                                now >= release_time(kq);
-      if (!dispatchable) {
-        earliest_release = std::min(earliest_release, release_time(kq));
+      const time_point release = release_time(kq);
+      if (now < release) {
+        earliest_release = std::min(earliest_release, release);
         continue;
       }
       if (ready == rotation_.end()) {
         ready = it;
+        ready_release = release;
         if (!deadline_aware_) break;  // blind: first ready in rotation order
         continue;
       }
@@ -199,11 +207,13 @@ std::optional<Batch> RequestQueue::pop_batch() {
       if (kq.vstart < best.vstart ||
           (kq.vstart == best.vstart && kq.activation < best.activation)) {
         ready = it;
+        ready_release = release;
       }
     }
     if (ready == rotation_.end()) {
-      // Every key is still gathering company: sleep until the first
-      // release time or a new arrival re-evaluates the predicate.
+      // Every key is still gathering company or backing off: sleep
+      // until the first release time or a new arrival re-evaluates the
+      // predicate.
       if (earliest_release == time_point::max()) {
         cv_.wait(lock);
       } else {
@@ -221,37 +231,34 @@ std::optional<Batch> RequestQueue::pop_batch() {
         std::min<std::size_t>(kq.q.size(), static_cast<std::size_t>(max_batch_));
     batch.requests.reserve(cap);
     // Why this batch released now, captured before the take loop
-    // mutates the key queue: full beats deadline-cut beats drain beats
-    // plain linger expiry.  Only computed when tracing is on.
+    // mutates the key queue: full beats drain beats deadline-cut (the
+    // release landed on the front's deadline) beats linger expiry.
     const bool trace_on = util::trace::enabled();
     const bool was_full = static_cast<int>(kq.q.size()) >= max_batch_;
     const bool draining = closed_;
-    bool deadline_cut = false;
-    if (trace_on && !was_full && deadline_aware_ && !kq.q.empty() &&
-        kq.q.front().has_deadline()) {
-      const auto linger =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(linger_seconds_));
-      time_point oldest = time_point::max();
-      for (const auto& req : kq.q) oldest = std::min(oldest, req.enqueued);
-      deadline_cut = kq.q.front().deadline < oldest + linger;
-    }
+    const bool deadline_cut = !was_full && !draining && deadline_aware_ &&
+                              ready_release == kq.q.front().deadline;
     // Group-aware admission: take in service order, stopping before
-    // the request that would introduce distinct tenant max_groups_ + 1
+    // the request that would introduce distinct tenant max_groups_ + 1,
+    // before a request still backing off, and around a solo request
     // (the first request is always taken, so pops make progress).
     std::vector<TenantId> taken_tenants;
     double batch_weight = 1.0;
     while (batch.requests.size() < cap) {
-      const TenantId tenant = kq.q.front().tenant;
-      if (std::find(taken_tenants.begin(), taken_tenants.end(), tenant) ==
+      const PendingRequest& next = kq.q.front();
+      if (!batch.requests.empty() &&
+          (next.solo || batch.requests.front().solo || now < next.not_before)) {
+        break;
+      }
+      if (std::find(taken_tenants.begin(), taken_tenants.end(), next.tenant) ==
           taken_tenants.end()) {
         if (max_groups_ > 0 &&
             static_cast<int>(taken_tenants.size()) >= max_groups_) {
           break;
         }
-        taken_tenants.push_back(tenant);
+        taken_tenants.push_back(next.tenant);
       }
-      batch_weight = std::max(batch_weight, kq.q.front().weight);
+      batch_weight = std::max(batch_weight, next.weight);
       batch.requests.push_back(std::move(kq.q.front()));
       kq.q.pop_front();
     }
@@ -302,8 +309,8 @@ std::optional<Batch> RequestQueue::pop_batch() {
            {"seq", batch.seq},
            {"deadline_cut", deadline_cut ? 1 : 0},
            {"reason", was_full         ? "full"
-                      : deadline_cut   ? "deadline-cut"
                       : draining       ? "drain"
+                      : deadline_cut   ? "deadline-cut"
                                        : "linger"}});
     }
     return batch;

@@ -49,6 +49,11 @@
 // order) at the first request that would introduce group
 // max_groups + 1; leftovers stay queued, keep their linger deadlines,
 // and ride the key's next turn, so nothing starves.
+//
+// Retries ride the queue too (requeue()): a requeued request keeps its
+// arrival seq, and its backoff is a `not_before` time its key is not
+// released before — so a backoff holds only that key's queue, never a
+// lane.  Quarantined batch members come back `solo` and pop alone.
 #pragma once
 
 #include <chrono>
@@ -114,8 +119,10 @@ struct Request {
 /// Completed request payload delivered through the future.
 struct MatvecResult {
   std::vector<double> output;
-  double queue_seconds = 0.0;  ///< submit -> batch execution start (wall)
-  double exec_seconds = 0.0;   ///< execution start -> completion (wall)
+  double queue_seconds = 0.0;  ///< submit -> first dispatch (wall)
+  /// First dispatch -> fulfilment (wall), retry backoffs included, so
+  /// queue_seconds + exec_seconds is the end-to-end latency.
+  double exec_seconds = 0.0;
   /// This request's share of the batch's end-to-end simulated
   /// duration (makespan): shares sum to the lane's clock advance even
   /// when a pipelined batch overlapped SBGEMV with FFT across its
@@ -128,14 +135,16 @@ struct MatvecResult {
   /// tenant-agnostic phases, weighted by operator-group size for the
   /// grouped SBGEMV.
   core::PhaseTimings timings;
-  int batch_size = 0;          ///< size of the batch this request rode in
-  int lane = -1;               ///< stream lane that executed it
-  /// Global dispatch sequence number of the batch this request rode
-  /// in (0-based; stamped by RequestQueue::pop_batch under the queue
+  int batch_size = 0;  ///< size of the final dispatch's batch
+  int lane = -1;       ///< stream lane that ran the final dispatch
+  /// Global dispatch sequence number of the final dispatch's batch
+  /// (0-based; stamped by RequestQueue::pop_batch under the queue
   /// mutex, so it is increasing in queue-pop order regardless of how
   /// the lanes interleave afterwards): lets a client observe dispatch
   /// ordering — e.g. that a session's applies left the queue in
-  /// submit order.
+  /// submit order.  A retried request reports its re-dispatch; with
+  /// several lanes, a later apply popped by another lane while the
+  /// first attempt was in flight can carry a lower number.
   std::int64_t batch_seq = -1;
   /// Owning streaming session, 0 for one-shot requests.
   SessionId session = 0;
@@ -187,12 +196,21 @@ struct PendingRequest {
   /// begin with its end at dispatch; 0 = tracing was off at submit.
   std::uint64_t trace_id = 0;
   /// True for work that was already dispatched once and is riding the
-  /// queue again for a retry (e.g. a quarantined solo re-dispatch).
-  /// The shed-best-effort overload policy never displaces such a
-  /// request: shedding work that already consumed device time trades
-  /// sunk cost for churn, and a retried request must not lose its
-  /// admission to a newer best-effort arrival.
+  /// queue again for a retry (set by RequestQueue::requeue).  The
+  /// shed-best-effort overload policy never displaces such a request:
+  /// shedding work that already consumed device time trades sunk cost
+  /// for churn, and a retried request must not lose its admission to
+  /// a newer best-effort arrival.
   bool retrying = false;
+  /// Retry backoff: pop_batch holds the request until this time.
+  std::chrono::steady_clock::time_point not_before =
+      std::chrono::steady_clock::time_point::min();
+  bool solo = false;  ///< quarantined: pop_batch takes it alone
+  // Recovery state the scheduler carries across requeues.
+  int attempts = 0;       ///< failed dispatches against the current budget
+  int retries = 0;        ///< re-dispatches consumed (MatvecResult::retries)
+  bool sdc_seen = false;  ///< an ABFT detection within the current budget
+  std::optional<std::chrono::steady_clock::time_point> first_dispatch;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
@@ -251,10 +269,17 @@ class RequestQueue {
   /// kFull when bounded admission refused it; see PushOutcome.
   PushOutcome push(const BatchKey& key, PendingRequest request);
 
+  /// Put dispatched work back for a retry, marked `retrying`.  Skips
+  /// the close check and the depth bound (the work was admitted once)
+  /// and keeps the request's seq, so it holds its EDF or FIFO place.
+  void requeue(const BatchKey& key, PendingRequest request);
+
   /// Block until a batch is ready (or the queue is closed and empty,
   /// returning nullopt).  Multiple consumers may pop concurrently;
   /// each call serves the scheduling-order next key (WFQ or
-  /// round-robin, see the header comment).
+  /// round-robin, see the header comment), never before the front
+  /// request's not_before (even while draining); a batch stops before
+  /// a request still backing off, and a solo request pops alone.
   std::optional<Batch> pop_batch();
 
   /// Stop accepting pushes and wake consumers.  Already-queued
@@ -284,10 +309,13 @@ class RequestQueue {
     std::uint64_t activation = 0;
   };
 
-  /// The wall time at which `kq` becomes dispatchable: the oldest
-  /// request's linger expiry, cut short by the key's earliest
-  /// deadline.  Assumes the queue mutex is held.
+  /// When non-empty `kq` becomes dispatchable: the oldest request's
+  /// linger expiry, cut short by the key's earliest deadline, at once
+  /// when full or draining — never before the front's not_before.
+  /// Assumes the queue mutex is held (as does insert).
   std::chrono::steady_clock::time_point release_time(const KeyQueue& kq) const;
+  /// Insert at the request's EDF/FIFO place, activating an empty key.
+  void insert(const BatchKey& key, PendingRequest request);
 
   /// Remove the newest pending best-effort request (largest arrival
   /// seq with no deadline, skipping dispatched-and-retrying work) to

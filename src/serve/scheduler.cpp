@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "comm/fault.hpp"
 #include "device/fault_plan.hpp"
@@ -25,53 +25,45 @@ double seconds_between(clock::time_point a, clock::time_point b) {
 /// std::invalid_argument naming the bad field), so a misconfigured
 /// scheduler fails at construction instead of misbehaving under load.
 ServeOptions resolve_options(ServeOptions options, const device::DeviceSpec& spec) {
-  if (options.num_streams <= 0) {
-    throw std::invalid_argument("ServeOptions: num_streams must be >= 1, got " +
-                                std::to_string(options.num_streams));
-  }
-  if (options.max_batch < 0) {
-    throw std::invalid_argument("ServeOptions: max_batch must be >= 0, got " +
-                                std::to_string(options.max_batch));
-  }
-  if (options.linger_seconds < 0.0) {
-    throw std::invalid_argument(
-        "ServeOptions: linger_seconds must be >= 0, got " +
-        std::to_string(options.linger_seconds));
-  }
-  if (options.plan_cache_capacity == 0) {
-    throw std::invalid_argument("ServeOptions: plan_cache_capacity must be >= 1");
-  }
-  if (options.pipeline_chunks < 0) {
-    throw std::invalid_argument(
-        "ServeOptions: pipeline_chunks must be >= 0, got " +
-        std::to_string(options.pipeline_chunks));
-  }
-  if (options.max_groups_per_batch < 0) {
-    throw std::invalid_argument(
-        "ServeOptions: max_groups_per_batch must be >= 0, got " +
-        std::to_string(options.max_groups_per_batch));
-  }
-  if (options.max_rank_group < 1) {
-    throw std::invalid_argument(
-        "ServeOptions: max_rank_group must be >= 1, got " +
-        std::to_string(options.max_rank_group));
-  }
-  if (options.max_queue_depth < 0) {
-    throw std::invalid_argument(
-        "ServeOptions: max_queue_depth must be >= 0, got " +
-        std::to_string(options.max_queue_depth));
-  }
-  if (options.max_retries < 0) {
-    throw std::invalid_argument("ServeOptions: max_retries must be >= 0, got " +
-                                std::to_string(options.max_retries));
-  }
-  if (options.retry_backoff_seconds < 0.0) {
-    throw std::invalid_argument(
-        "ServeOptions: retry_backoff_seconds must be >= 0, got " +
-        std::to_string(options.retry_backoff_seconds));
-  }
+  const auto require = [](bool ok, const char* rule, auto got) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("ServeOptions: ") + rule +
+                                  ", got " + std::to_string(got));
+    }
+  };
+  require(options.num_streams > 0, "num_streams must be >= 1", options.num_streams);
+  require(options.max_batch >= 0, "max_batch must be >= 0", options.max_batch);
+  require(options.linger_seconds >= 0.0, "linger_seconds must be >= 0",
+          options.linger_seconds);
+  require(options.plan_cache_capacity > 0, "plan_cache_capacity must be >= 1",
+          options.plan_cache_capacity);
+  require(options.pipeline_chunks >= 0, "pipeline_chunks must be >= 0",
+          options.pipeline_chunks);
+  require(options.max_groups_per_batch >= 0, "max_groups_per_batch must be >= 0",
+          options.max_groups_per_batch);
+  require(options.max_rank_group >= 1, "max_rank_group must be >= 1",
+          options.max_rank_group);
+  require(options.max_queue_depth >= 0, "max_queue_depth must be >= 0",
+          options.max_queue_depth);
+  require(options.max_retries >= 0, "max_retries must be >= 0", options.max_retries);
+  require(options.retry_backoff_seconds >= 0.0, "retry_backoff_seconds must be >= 0",
+          options.retry_backoff_seconds);
   if (options.max_batch == 0) options.max_batch = adaptive_max_batch(spec);
   return options;
+}
+
+/// Caller-bug checks shared by submit and open_stream.
+void validate_qos(const StreamQoS& qos, const char* caller) {
+  if (qos.deadline_seconds < 0.0) {
+    throw std::invalid_argument(std::string("AsyncScheduler::") + caller +
+                                ": qos.deadline_seconds must be >= 0, got " +
+                                std::to_string(qos.deadline_seconds));
+  }
+  if (!(qos.weight > 0.0)) {
+    throw std::invalid_argument(std::string("AsyncScheduler::") + caller +
+                                ": qos.weight must be > 0, got " +
+                                std::to_string(qos.weight));
+  }
 }
 
 /// Map a dispatch-path exception to the serve error taxonomy;
@@ -244,15 +236,16 @@ AsyncScheduler::AsyncScheduler(const device::DeviceSpec& spec, ServeOptions opti
              options_.max_queue_depth, options_.overload_policy) {
   lanes_.resize(static_cast<std::size_t>(options_.num_streams));
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i].stream = std::make_unique<device::Stream>(dev_);
-    lanes_[i].aux = std::make_unique<device::Stream>(dev_);
+    lanes_[i].pairs.emplace_back(dev_);
+    lanes_[i].dist =
+        std::make_unique<core::DistributedMatvecPlan>(options_.matvec.network);
     // Device-clock trace tracks: lane i's main stream is tid 2i, its
     // aux (pipeline overlap) stream tid 2i+1.  Track names are
     // registered unconditionally — they are session metadata, so a
     // trace session started after construction still labels them.
     const int tid_a = static_cast<int>(2 * i);
-    lanes_[i].stream->set_trace_tid(tid_a);
-    lanes_[i].aux->set_trace_tid(tid_a + 1);
+    lanes_[i].pairs[0].main.set_trace_tid(tid_a);
+    lanes_[i].pairs[0].aux.set_trace_tid(tid_a + 1);
     util::trace::set_device_track_name(
         tid_a, "lane " + std::to_string(i) + " stream A");
     util::trace::set_device_track_name(
@@ -302,76 +295,59 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
                                      options_.max_rank_group,
                                      options_.matvec.network);
   }
-  const auto local = core::LocalDims::single_rank(dims);
   // The expensive setup (batched FFT of the block column, fp32
   // spectrum warm — the latter so the lazily-cast copy is never raced
   // later) runs before the tenants lock is taken: registration must
   // not stall data-plane lanes looking up other tenants.  Its own
-  // mutex serialises concurrent registrations on the setup stream.
-  std::shared_ptr<core::BlockToeplitzOperator> op;
-  std::shared_ptr<core::ShardedOperator> sharded;
+  // mutex serialises concurrent registrations on the setup stream.  A
+  // plain tenant is a one-rank group: the same unsliced operator.
+  std::shared_ptr<core::ShardedOperator> op;
   {
     std::lock_guard setup_lock(setup_mutex_);
-    if (rank_group > 1) {
-      sharded = std::make_shared<core::ShardedOperator>(
-          dev_, setup_stream_, dims, static_cast<index_t>(rank_group),
-          first_block_col);
-      sharded->warm_spectrum_f(setup_stream_);
-      if (options_.verify_mode != core::VerifyMode::kOff) {
-        sharded->warm_checksums(setup_stream_);
-      }
-    } else {
-      op = std::make_shared<core::BlockToeplitzOperator>(dev_, setup_stream_,
-                                                         local, first_block_col);
-      op->spectrum_f(setup_stream_);
-      if (options_.verify_mode != core::VerifyMode::kOff) {
-        // Warm the ABFT checksum vectors too — both directions, both
-        // precisions — so the lazily-built copies are never raced (and
-        // never billed, or fault-injected) on the request path.
-        op->checksum_d(setup_stream_, /*adjoint=*/false);
-        op->checksum_d(setup_stream_, /*adjoint=*/true);
-        op->checksum_f(setup_stream_, /*adjoint=*/false);
-        op->checksum_f(setup_stream_, /*adjoint=*/true);
-      }
+    op = std::make_shared<core::ShardedOperator>(
+        dev_, setup_stream_, dims, static_cast<index_t>(rank_group),
+        first_block_col);
+    op->warm_spectrum_f(setup_stream_);
+    if (options_.verify_mode != core::VerifyMode::kOff) {
+      // Warm the ABFT checksum vectors too — both precisions, the
+      // directions each slice serves — so the lazily-built copies are
+      // never raced (and never billed, or fault-injected) on the
+      // request path.
+      op->warm_checksums(setup_stream_);
     }
   }
   // Pre-warm the shape's full-batch forward-ddddd pipeline resolution
   // (a phantom cost-model probe in auto mode) off the request path;
   // other (batch size, direction, precision) combinations resolve
-  // lazily at first dispatch.  Sharded tenants dispatch per-rank
-  // slices, so the resolution is probed at rank 0's forward slice.
-  const core::LocalDims dispatch_dims =
-      sharded ? sharded->rank_dims(core::ApplyDirection::kForward, 0) : local;
-  pipeline_chunks_for(dispatch_dims, static_cast<index_t>(options_.max_batch),
+  // lazily at first dispatch.  Batches resolve at rank 0's slice (the
+  // whole operator for a plain tenant).
+  pipeline_chunks_for(op->rank_dims(core::ApplyDirection::kForward, 0),
+                      static_cast<index_t>(options_.max_batch),
                       core::ApplyDirection::kForward,
                       precision::PrecisionConfig{});
   std::lock_guard lock(tenants_mutex_);
   const TenantId id = next_tenant_++;
-  tenants_.emplace(id, Tenant{local, std::move(op), rank_group,
-                              std::move(sharded)});
+  tenants_.emplace(id, Tenant{std::move(op)});
   return id;
 }
 
-int AsyncScheduler::tenant_rank_group(TenantId tenant) const {
+AsyncScheduler::Tenant AsyncScheduler::tenant_of(TenantId tenant,
+                                                 const char* caller) const {
   std::lock_guard lock(tenants_mutex_);
   const auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
-    throw std::invalid_argument(
-        "AsyncScheduler::tenant_rank_group: unknown tenant " +
-        std::to_string(tenant));
+    throw std::invalid_argument(std::string("AsyncScheduler::") + caller +
+                                ": unknown tenant " + std::to_string(tenant));
   }
-  return it->second.rank_group;
+  return it->second;
+}
+
+int AsyncScheduler::tenant_rank_group(TenantId tenant) const {
+  return static_cast<int>(tenant_of(tenant, "tenant_rank_group").op->ranks());
 }
 
 bool AsyncScheduler::tenant_degraded(TenantId tenant) const {
-  std::lock_guard lock(tenants_mutex_);
-  const auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    throw std::invalid_argument(
-        "AsyncScheduler::tenant_degraded: unknown tenant " +
-        std::to_string(tenant));
-  }
-  return it->second.degraded;
+  return tenant_of(tenant, "tenant_degraded").degraded;
 }
 
 int AsyncScheduler::pipeline_chunks_for(const core::LocalDims& dims,
@@ -407,28 +383,10 @@ int AsyncScheduler::pipeline_chunks_for(const core::LocalDims& dims,
 std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
                                                   SessionId session) {
   const util::trace::Span submit_span("submit", "serve");
-  if (request.qos.deadline_seconds < 0.0) {
-    throw std::invalid_argument(
-        "AsyncScheduler::submit: qos.deadline_seconds must be >= 0, got " +
-        std::to_string(request.qos.deadline_seconds));
-  }
-  if (!(request.qos.weight > 0.0)) {
-    throw std::invalid_argument(
-        "AsyncScheduler::submit: qos.weight must be > 0, got " +
-        std::to_string(request.qos.weight));
-  }
-  core::LocalDims dims;
-  bool tenant_sharded = false;
-  {
-    std::lock_guard lock(tenants_mutex_);
-    const auto it = tenants_.find(request.tenant);
-    if (it == tenants_.end()) {
-      throw std::invalid_argument("AsyncScheduler::submit: unknown tenant " +
-                                  std::to_string(request.tenant));
-    }
-    dims = it->second.dims;
-    tenant_sharded = it->second.rank_group > 1;
-  }
+  validate_qos(request.qos, "submit");
+  const auto op = tenant_of(request.tenant, "submit").op;
+  const auto dims = core::LocalDims::single_rank(op->dims());
+  const bool tenant_sharded = op->ranks() > 1;
   const index_t expect = request.direction == core::ApplyDirection::kForward
                              ? dims.n_t() * dims.n_m_local
                              : dims.n_t() * dims.n_d_local;
@@ -436,6 +394,16 @@ std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
     throw std::invalid_argument("AsyncScheduler::submit: input extent " +
                                 std::to_string(request.input.size()) +
                                 ", expected " + std::to_string(expect));
+  }
+  // A non-finite input is a caller bug like a wrong extent: it would
+  // come back as NaN output with verify off, and with verify on trip
+  // every checksum until the retries and quarantine are spent.
+  if (const auto bad = std::find_if_not(request.input.begin(), request.input.end(),
+                                        [](double v) { return std::isfinite(v); });
+      bad != request.input.end()) {
+    throw std::invalid_argument(
+        "AsyncScheduler::submit: non-finite input value at index " +
+        std::to_string(bad - request.input.begin()));
   }
 
   PendingRequest req;
@@ -525,27 +493,37 @@ void AsyncScheduler::retire_undispatched(PendingRequest req, ErrorCode code,
         {{"tenant", static_cast<std::int64_t>(req.tenant)},
          {"session", static_cast<std::int64_t>(req.session)}});
   }
-  const double queue_s = seconds_between(req.enqueued, clock::now());
-  const bool had_deadline = req.has_deadline();
   MatvecResult result;
   result.error = code;
   result.session = req.session;
-  result.queue_seconds = queue_s;
+  result.queue_seconds = seconds_between(req.enqueued, clock::now());
   // A refused deadline-bearing request was certainly not served on
   // time.
-  result.deadline_missed = had_deadline;
+  result.deadline_missed = req.has_deadline();
+  complete(req, std::move(result));
+  release({&req, 1}, counted);
+}
+
+void AsyncScheduler::complete(PendingRequest& req, MatvecResult result) {
+  const MatvecResult& r = result;
+  metrics_.record_request(r.queue_seconds, r.exec_seconds, r.error, req.session,
+                          req.has_deadline(), r.deadline_missed, r.retries);
   req.promise.set_value(std::move(result));
-  metrics_.record_request(queue_s, 0.0, code, req.session, had_deadline,
-                          had_deadline);
+}
+
+void AsyncScheduler::release(std::span<const PendingRequest> reqs, bool counted) {
   {
     std::lock_guard lock(state_mutex_);
-    if (counted) --in_flight_;
-    if (req.session != 0) {
+    if (counted) in_flight_ -= static_cast<std::int64_t>(reqs.size());
+    for (const auto& req : reqs) {
+      if (req.session == 0) continue;
       if (const auto it = sessions_.find(req.session); it != sessions_.end()) {
         --it->second.outstanding;
       }
     }
   }
+  // Unconditional: close_session waits on per-session outstanding
+  // counts, not just the global in-flight count.
   cv_drained_.notify_all();
 }
 
@@ -557,26 +535,9 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
                                           core::ApplyDirection direction,
                                           const precision::PrecisionConfig& config,
                                           StreamQoS qos) {
-  if (qos.deadline_seconds < 0.0) {
-    throw std::invalid_argument(
-        "AsyncScheduler::open_stream: qos.deadline_seconds must be >= 0, got " +
-        std::to_string(qos.deadline_seconds));
-  }
-  if (!(qos.weight > 0.0)) {
-    throw std::invalid_argument(
-        "AsyncScheduler::open_stream: qos.weight must be > 0, got " +
-        std::to_string(qos.weight));
-  }
-  core::LocalDims dims;
-  {
-    std::lock_guard lock(tenants_mutex_);
-    const auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) {
-      throw std::invalid_argument("AsyncScheduler::open_stream: unknown tenant " +
-                                  std::to_string(tenant));
-    }
-    dims = it->second.dims;
-  }
+  validate_qos(qos, "open_stream");
+  const auto dims =
+      core::LocalDims::single_rank(tenant_of(tenant, "open_stream").op->dims());
   // Capacity check BEFORE pinning: every pinned shape keeps one
   // resident plan per lane, and the cache must still hold that whole
   // pinned working set or eviction has nothing left to reclaim.
@@ -644,8 +605,7 @@ void AsyncScheduler::close_session(SessionId session) {
     const auto it = sessions_.find(session);
     if (it == sessions_.end()) return;  // idempotent
     // Drain: every accepted apply of this session is fulfilled before
-    // the pin is dropped (execute_batch notifies cv_drained_ after
-    // every batch).
+    // the pin is dropped (release() notifies cv_drained_).
     cv_drained_.wait(lock, [&] { return it->second.outstanding == 0; });
     dims = it->second.dims;
     sessions_.erase(it);
@@ -656,467 +616,348 @@ void AsyncScheduler::close_session(SessionId session) {
   cache_.unpin(PlanKey{dims, options_.matvec, dev_.spec().name, /*lane=*/0});
 }
 
-void AsyncScheduler::worker_loop(int lane) {
-  util::trace::set_thread_name("lane " + std::to_string(lane));
-  while (auto batch = queue_.pop_batch()) {
-    execute_batch(lane, *batch);
+Recovery recover(const RecoveryState& s) {
+  using Action = Recovery::Action;
+  if (s.code == ErrorCode::kOk) return {Action::kComplete};
+  // A down rank consumes no retry: the same batch re-runs at once with
+  // every slice on the survivor, zero collectives.
+  if (s.code == ErrorCode::kRankFailure && !s.degraded) return {Action::kDegrade};
+  if (!retryable(s.code)) return {Action::kFail};
+  if (s.attempt >= s.max_retries) {
+    // Batch-failure isolation: a fused batch that kept failing is
+    // quarantined — each request re-dispatches SOLO with its own fresh
+    // budget, so a poisoned request fails alone instead of failing all
+    // b futures (outputs never depend on batch composition).
+    return {s.solo ? Action::kFail : Action::kQuarantine};
   }
+  // Doubling backoff before re-dispatch attempt + 1, clamped to the
+  // tightest remaining deadline slack — a retry never waits past a
+  // deadline it could still make (and never waits at all once a
+  // deadline has passed).
+  const double delay = std::ldexp(s.backoff_seconds, s.attempt);
+  return {Action::kRetry, std::min(delay, std::max(0.0, s.slack_seconds))};
 }
 
-void AsyncScheduler::execute_batch(int lane, Batch& batch) {
-  const auto exec_start = clock::now();
-  const bool trace_on = util::trace::enabled();
-  const double span_t0 = trace_on ? util::trace::now_us() : 0.0;
-  // Stamped by pop_batch under the queue mutex: with several lanes,
-  // a fetch_add here could tag two consecutive pops in reverse order
-  // and break the session dispatch-order guarantee.
-  const std::int64_t batch_seq = batch.seq;
-  device::Stream& stream = *lanes_[static_cast<std::size_t>(lane)].stream;
-  device::Stream& aux = *lanes_[static_cast<std::size_t>(lane)].aux;
-  const double sim_start = stream.now();
+void AsyncScheduler::worker_loop(int lane) {
+  util::trace::set_thread_name("lane " + std::to_string(lane));
+  while (auto batch = queue_.pop_batch()) dispatch(lane, std::move(*batch));
+}
 
-  const std::size_t b = batch.requests.size();
-  const int batch_size = static_cast<int>(b);
-
-  // Queue-depth gauge + per-request queue-wait closure, sampled at
-  // dispatch (the natural "left the queue" point).
-  const std::size_t depth = queue_.pending();
-  metrics_.record_queue_depth(depth);
-  if (trace_on) {
-    for (const auto& req : batch.requests) {
-      if (req.trace_id != 0) {
-        util::trace::async_end("queue_wait", "serve", req.trace_id);
+void AsyncScheduler::dispatch(int lane, Batch batch) {
+  const auto start = clock::now();
+  const double span_t0 = util::trace::enabled() ? util::trace::now_us() : 0.0;
+  const double sim_start =
+      lanes_[static_cast<std::size_t>(lane)].pairs[0].main.now();
+  Dispatch d = begin_dispatch(std::move(batch), start);
+  const TenantId tenant = d.batch.requests[0].tenant;
+  RecoveryState state{.solo = d.batch.requests.size() == 1,
+                      .max_retries = options_.max_retries,
+                      .backoff_seconds = options_.retry_backoff_seconds};
+  auto tightest = clock::time_point::max();  // best effort: no slack bound
+  for (const auto& req : d.batch.requests) {
+    state.attempt = std::max(state.attempt, req.attempts);
+    tightest = std::min(tightest, req.deadline);
+  }
+  Recovery next;
+  for (;;) {
+    try {
+      attempt(lane, d, state.degraded ? core::CommMode::kNone : core::CommMode::kBatched);
+      state.code = ErrorCode::kOk;
+    } catch (...) {
+      // A failed attempt leaves no partial numerics visible (a
+      // StreamFault fires before any writes, and a successful
+      // re-attempt rewrites every output), so retried dispatches stay
+      // bit-identical to a fault-free run.
+      state.code = classify_failure(std::current_exception());
+      if (state.code == ErrorCode::kSilentCorruption) {
+        metrics_.count(&MetricsSnapshot::sdc_detected);
+        for (auto& req : d.batch.requests) req.sdc_seen = true;
+      }
+      if (util::trace::enabled()) {
+        util::trace::instant(
+            state.code == ErrorCode::kSilentCorruption ? "sdc_detected" : "fault",
+            "serve", {{"code", error_code_name(state.code)}, {"lane", lane},
+                      {"batch_seq", d.batch.seq}});
       }
     }
-    util::trace::counter("queue_depth", static_cast<double>(depth));
+    if (tightest != clock::time_point::max()) {
+      state.slack_seconds = seconds_between(clock::now(), tightest);
+    }
+    next = recover(state);
+    if (next.action != Recovery::Action::kDegrade) break;
+    set_degraded(tenant, true);
+    state.degraded = true;
   }
+  if (state.code == ErrorCode::kOk) {
+    if (state.degraded) {
+      metrics_.count(&MetricsSnapshot::degraded_batches);
+      if (util::trace::enabled()) {
+        util::trace::instant("degraded_dispatch", "serve",
+                             {{"tenant", static_cast<std::int64_t>(tenant)},
+                              {"batch_seq", d.batch.seq}});
+      }
+    } else if (d.was_degraded) {
+      set_degraded(tenant, false);  // a full sharded dispatch again: healed
+    }
+    if (std::any_of(d.batch.requests.begin(), d.batch.requests.end(),
+                    [](const PendingRequest& r) { return r.sdc_seen; })) {
+      // The re-dispatch verified clean: the corruption was transient
+      // and the recompute is bit-identical to a never-corrupted run.
+      metrics_.count(&MetricsSnapshot::sdc_recomputes);
+      if (util::trace::enabled()) {
+        util::trace::instant("sdc_recompute", "serve",
+                             {{"lane", lane}, {"batch_seq", d.batch.seq}});
+      }
+    }
+  }
+  const bool requeued = next.action == Recovery::Action::kRetry ||
+                        next.action == Recovery::Action::kQuarantine;
+  if (requeued) {
+    requeue(d, next.action == Recovery::Action::kQuarantine, next.delay_seconds);
+  } else {
+    fulfil(lane, d, state.code);
+  }
+  end_dispatch(lane, d, sim_start, span_t0, !requeued, state.code);
+}
 
+AsyncScheduler::Dispatch AsyncScheduler::begin_dispatch(Batch batch,
+                                                        clock::time_point now) {
+  // Queue-depth gauge + per-request queue-wait closure, sampled at the
+  // first dispatch (the natural "left the queue" point; a retry's
+  // wait in the queue counts as execution).
+  const std::size_t depth = queue_.pending();
+  metrics_.record_queue_depth(depth);
+  for (auto& req : batch.requests) {
+    if (req.first_dispatch) continue;
+    req.first_dispatch = now;
+    if (req.trace_id != 0) util::trace::async_end("queue_wait", "serve", req.trace_id);
+  }
+  if (util::trace::enabled()) util::trace::counter("queue_depth", static_cast<double>(depth));
   // A shape-keyed batch may span several tenants: stable-sort by
-  // tenant (FIFO order preserved within a tenant) so each tenant's
+  // tenant (service order preserved within a tenant) so each tenant's
   // requests form one contiguous operator group.
   std::stable_sort(batch.requests.begin(), batch.requests.end(),
                    [](const PendingRequest& a, const PendingRequest& o) {
                      return a.tenant < o.tenant;
                    });
-
-  const core::LocalDims dims = batch.key.dims;
-  Lane& lane_state = lanes_[static_cast<std::size_t>(lane)];
-  const TenantId batch_tenant = batch.requests[0].tenant;
-  const precision::PrecisionConfig config =
-      precision::PrecisionConfig::parse(batch.key.precision);
-  const bool forward = batch.key.direction == core::ApplyDirection::kForward;
-  const index_t out_len =
-      forward ? dims.n_t() * dims.n_d_local : dims.n_t() * dims.n_m_local;
-
-  // Tenant bindings resolve ONCE, before any (possibly retried)
-  // dispatch attempt: the shared_ptrs keep every operator alive
-  // across the applies even if its tenant is concurrently
-  // deregistered, and a retry or per-request quarantine re-dispatch
-  // rebuilds its operator groups from these without another pass over
-  // the tenants map.
-  std::shared_ptr<core::ShardedOperator> sharded;
-  bool was_degraded = false;
-  std::vector<std::shared_ptr<core::BlockToeplitzOperator>> req_ops(b);
+  Dispatch d;
+  d.config = precision::PrecisionConfig::parse(batch.key.precision);
+  d.results.resize(batch.requests.size());
   {
+    // Sharded batches are tenant-homogeneous by key construction
+    // (enqueue keys them on the tenant id).
     std::lock_guard lock(tenants_mutex_);
-    const Tenant& first = tenants_.at(batch_tenant);
-    if (first.sharded) {
-      // Sharded batches are tenant-homogeneous by key construction
-      // (enqueue keys them on the tenant id).
-      sharded = first.sharded;
-      was_degraded = first.degraded;
-    } else {
-      for (std::size_t r = 0; r < b; ++r) {
-        req_ops[r] = tenants_.at(batch.requests[r].tenant).op;
-      }
+    for (const auto& req : batch.requests) d.ops.push_back(tenants_.at(req.tenant).op);
+    d.was_degraded = tenants_.at(batch.requests[0].tenant).degraded;
+  }
+  d.batch = std::move(batch);
+  return d;
+}
+
+void AsyncScheduler::attempt(int lane, Dispatch& d, core::CommMode mode) {
+  Lane& ls = lanes_[static_cast<std::size_t>(lane)];
+  const core::ShardedOperator& op = *d.ops[0];
+  const core::ApplyDirection direction = d.batch.key.direction;
+  const std::size_t n = d.batch.requests.size();
+  const index_t ranks = op.ranks();
+  const core::LocalDims& dims = op.rank_dims(direction, 0);
+  const index_t out_len = direction == core::ApplyDirection::kForward
+                              ? dims.n_t() * dims.global.n_d
+                              : dims.n_t() * dims.global.n_m;
+  std::vector<core::ConstVectorView> inputs(n);
+  std::vector<core::VectorView> outputs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d.results[i].output.resize(static_cast<std::size_t>(out_len));
+    inputs[i] = d.batch.requests[i].input;
+    outputs[i] = d.results[i].output;
+  }
+  // Resolved for this exact (slice shape, batch size, direction,
+  // precision): every pipelined dispatch runs a configuration the
+  // model validated against serial — a partial, adjoint or
+  // lower-precision batch never inherits the full-batch forward-ddddd
+  // count.
+  d.chunks = pipeline_chunks_for(dims, static_cast<index_t>(n), direction,
+                                 d.config);
+  while (ls.pairs.size() < static_cast<std::size_t>(ranks)) ls.pairs.emplace_back(dev_);
+  // Rank plans ride the shared PlanCache under per-(lane, pair) keys:
+  // pair p of lane l encodes l + num_lanes * p, injective, with pair 0
+  // at the lane's own index — so a cached plan is never driven from a
+  // foreign stream.  Without collectives every slice binds to pair 0
+  // (equal-shaped slices legitimately share one plan, reused serially).
+  std::vector<std::shared_ptr<core::FftMatvecPlan>> plans;
+  std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;
+  {
+    const util::trace::Span acquire_span("acquire_plan", "serve");
+    for (index_t rk = 0; rk < ranks; ++rk) {
+      const index_t p = mode == core::CommMode::kNone ? 0 : rk;
+      StreamPair& pair = ls.pairs[static_cast<std::size_t>(p)];
+      plans.push_back(cache_.acquire(
+          PlanKey{op.rank_dims(direction, rk), options_.matvec, dev_.spec().name,
+                  lane + static_cast<int>(lanes_.size() * p)},
+          pair.main));
+      rank_lanes.push_back({plans.back().get(), &pair.aux});
     }
   }
-
-  std::vector<MatvecResult> results(b);
-  std::vector<core::PhaseTimings> shares(b);
-  int resolved_chunks = 1;
-  int group_count = sharded ? 1 : 0;
-
-  // One dispatch attempt over requests [lo, hi): acquire the plan(s)
-  // (plan creation may itself fault — an injected DeviceOutOfMemory
-  // caches nothing, so the retry rebuilds cleanly), run ONE fused
-  // apply_batch and attribute the per-request timing shares.  Throws
-  // on failure; a failed attempt leaves no partial numerics visible
-  // (StreamFault fires before any writes) and a successful re-attempt
-  // rewrites results[lo..hi) completely, so retried dispatches stay
-  // bit-identical to a fault-free run.
-  const auto run_attempt = [&](std::size_t lo, std::size_t hi) {
-    const std::size_t n = hi - lo;
-    std::vector<core::ConstVectorView> inputs(n);
-    std::vector<core::VectorView> outputs(n);
+  const util::trace::Span apply_span("apply", "serve");
+  const std::vector<core::PhaseTimings>* shares = nullptr;
+  if (ranks == 1) {
+    // The whole coalesced batch executes as ONE fused apply_batch: the
+    // phase-2/4 FFTs run b * n_s sequences in one launch and phase 3 is
+    // a single grouped multi-RHS SBGEMV carrying one operator-spectrum
+    // pointer per contiguous same-tenant run, so matrix traffic is paid
+    // once per (frequency, tenant) instead of once per request.
+    std::vector<core::FftMatvecPlan::OperatorGroup> groups;
     for (std::size_t i = 0; i < n; ++i) {
-      results[lo + i].output.resize(static_cast<std::size_t>(out_len));
-      inputs[i] = batch.requests[lo + i].input;
-      outputs[i] = results[lo + i].output;
-    }
-    const util::trace::Span apply_span("apply", "serve");
-    if (sharded) {
-      // Rank plans ride the shared PlanCache under per-(lane, rank)
-      // keys: shard rank 0 reuses the lane's own index — it drives the
-      // lane's main stream, so its entry is interchangeable with a
-      // plain plan of the same slice shape — and rank r >= 1 encodes
-      // lane + num_lanes * r, injective and disjoint from the plain
-      // lanes' [0, num_lanes) so a cached rank plan is never driven
-      // from a foreign stream.  Extra stream pairs grow lazily to the
-      // widest group this lane has seen.
-      const index_t ranks = sharded->ranks();
-      const auto num_lanes = static_cast<int>(lanes_.size());
-      while (lane_state.rank_streams.size() + 1 <
-             static_cast<std::size_t>(ranks)) {
-        lane_state.rank_streams.push_back(
-            std::make_unique<device::Stream>(dev_));
-        lane_state.rank_aux.push_back(std::make_unique<device::Stream>(dev_));
-      }
-      resolved_chunks =
-          pipeline_chunks_for(sharded->rank_dims(batch.key.direction, 0),
-                              static_cast<index_t>(n), batch.key.direction,
-                              config);
-      if (!lane_state.dist) {
-        lane_state.dist = std::make_unique<core::DistributedMatvecPlan>(
-            options_.matvec.network);
-      }
-      std::vector<std::shared_ptr<core::FftMatvecPlan>> rank_plans;
-      std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;
-      {
-        const util::trace::Span acquire_span("acquire_rank_plans", "serve");
-        for (index_t rk = 0; rk < ranks; ++rk) {
-          device::Stream& rank_stream =
-              rk == 0
-                  ? stream
-                  : *lane_state.rank_streams[static_cast<std::size_t>(rk - 1)];
-          device::Stream& rank_aux =
-              rk == 0
-                  ? aux
-                  : *lane_state.rank_aux[static_cast<std::size_t>(rk - 1)];
-          const int encoded = lane + num_lanes * static_cast<int>(rk);
-          rank_plans.push_back(cache_.acquire(
-              PlanKey{sharded->rank_dims(batch.key.direction, rk),
-                      options_.matvec, dev_.spec().name, encoded},
-              rank_stream));
-          rank_lanes.push_back({rank_plans.back().get(), &rank_aux});
-        }
-      }
-      try {
-        // One sharded apply for the whole range: broadcast and gather
-        // fused across all n right-hand sides (CommMode::kBatched),
-        // per-rank compute on the lane's rank stream pairs.
-        lane_state.dist->apply_batch(*sharded, batch.key.direction, config,
-                                     inputs, outputs, rank_lanes,
-                                     core::CommMode::kBatched,
-                                     resolved_chunks, options_.verify_mode);
-        metrics_.record_comm(lane, lane_state.dist->last_timings().comm);
-        if (was_degraded) {
-          // The group answered a full sharded dispatch again: healed.
-          was_degraded = false;
-          {
-            std::lock_guard lock(tenants_mutex_);
-            if (const auto it = tenants_.find(batch_tenant);
-                it != tenants_.end()) {
-              it->second.degraded = false;
-            }
-          }
-          if (trace_on) {
-            util::trace::instant(
-                "rank_healed", "serve",
-                {{"tenant", static_cast<std::int64_t>(batch_tenant)}});
-          }
-        }
-      } catch (const comm::RankFailure& rf) {
-        // A rank is down for this dispatch: mark the tenant degraded
-        // and fall back to the single-rank path — every slice runs
-        // serially on this lane's own stream pair, zero collectives,
-        // outputs bit-identical to the sharded apply (slice supports
-        // are disjoint).  Slower, but the batch completes.
-        metrics_.record_rank_failure();
-        {
-          std::lock_guard lock(tenants_mutex_);
-          if (const auto it = tenants_.find(batch_tenant);
-              it != tenants_.end()) {
-            it->second.degraded = true;
-          }
-        }
-        was_degraded = true;
-        if (trace_on) {
-          util::trace::instant(
-              "rank_failure", "serve",
-              {{"tenant", static_cast<std::int64_t>(batch_tenant)},
-               {"rank", static_cast<std::int64_t>(rf.rank())},
-               {"batch_seq", batch_seq}});
-        }
-        // Fallback plans bind every slice to the MAIN lane stream,
-        // keyed at this lane's own index (rank 0's regular entry is
-        // interchangeable; equal-shaped slices legitimately share one
-        // cached plan, reused serially).
-        std::vector<std::shared_ptr<core::FftMatvecPlan>> fb_plans;
-        std::vector<core::DistributedMatvecPlan::RankLane> fb_lanes;
-        for (index_t rk = 0; rk < ranks; ++rk) {
-          fb_plans.push_back(cache_.acquire(
-              PlanKey{sharded->rank_dims(batch.key.direction, rk),
-                      options_.matvec, dev_.spec().name, lane},
-              stream));
-          fb_lanes.push_back({fb_plans.back().get(), &aux});
-        }
-        lane_state.dist->apply_batch(*sharded, batch.key.direction, config,
-                                     inputs, outputs, fb_lanes,
-                                     core::CommMode::kNone, resolved_chunks,
-                                     options_.verify_mode);
-        metrics_.record_degraded_batch();
-        if (trace_on) {
-          util::trace::instant(
-              "degraded_dispatch", "serve",
-              {{"tenant", static_cast<std::int64_t>(batch_tenant)},
-               {"batch_seq", batch_seq}});
-        }
-      }
-      const auto& rhs_shares = lane_state.dist->last_batch_timings();
-      for (std::size_t i = 0; i < n; ++i) shares[lo + i] = rhs_shares[i];
-    } else {
-      // Resolved for this exact (shape, batch size, direction,
-      // precision): every pipelined dispatch runs a configuration the
-      // model validated against serial — a partial, adjoint or
-      // lower-precision batch never inherits the full-batch
-      // forward-ddddd count.
-      resolved_chunks = pipeline_chunks_for(dims, static_cast<index_t>(n),
-                                            batch.key.direction, config);
-      std::shared_ptr<core::FftMatvecPlan> plan;
-      {
-        const util::trace::Span acquire_span("acquire_plan", "serve");
-        plan = cache_.acquire(
-            PlanKey{dims, options_.matvec, dev_.spec().name, lane}, stream);
-      }
-      // Contiguous same-tenant runs form operator groups (the batch
-      // was stable-sorted by tenant above).
-      std::vector<core::FftMatvecPlan::OperatorGroup> groups;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (i > lo &&
-            batch.requests[i].tenant == batch.requests[i - 1].tenant) {
-          ++groups.back().rhs_count;
-        } else {
-          groups.push_back({req_ops[i].get(), 1});
-        }
-      }
-      group_count = static_cast<int>(groups.size());
-      core::BatchPipeline pipeline;
-      pipeline.chunks = resolved_chunks;
-      pipeline.aux = &aux;
-      pipeline.verify = options_.verify_mode;
-      plan->apply_batch(groups, batch.key.direction, config, inputs, outputs,
-                        pipeline);
-      const auto& rhs_shares = plan->last_batch_timings();
-      for (std::size_t i = 0; i < n; ++i) shares[lo + i] = rhs_shares[i];
-    }
-  };
-
-  // Doubling backoff before re-dispatch k of [lo, hi), clamped to the
-  // tightest remaining deadline slack in the range — a retry never
-  // sleeps past a deadline it could still make (and never sleeps at
-  // all once every deadline in the range has passed).
-  const auto backoff = [&](int attempt, std::size_t lo, std::size_t hi) {
-    double delay = options_.retry_backoff_seconds;
-    for (int i = 1; i < attempt; ++i) delay *= 2.0;
-    const auto now = clock::now();
-    for (std::size_t r = lo; r < hi; ++r) {
-      if (batch.requests[r].has_deadline()) {
-        const double slack =
-            std::max(0.0, seconds_between(now, batch.requests[r].deadline));
-        delay = std::min(delay, slack);
+      if (i > 0 && d.batch.requests[i].tenant == d.batch.requests[i - 1].tenant) {
+        ++groups.back().rhs_count;
+      } else {
+        groups.push_back({&d.ops[i]->rank_op(direction, 0), 1});
       }
     }
-    if (delay > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
-  };
-
-  // Dispatch requests [lo, hi) under the retry budget: retryable
-  // failures (transient stream faults, plan-creation OOM) re-dispatch
-  // up to max_retries times with backoff.  Returns kOk or the final
-  // failure's class; `retries` accumulates re-dispatches consumed.
-  const auto run_range = [&](std::size_t lo, std::size_t hi, int& retries) {
-    bool sdc_seen = false;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        run_attempt(lo, hi);
-        if (sdc_seen) {
-          // The re-dispatch produced a verified-clean result: the
-          // corruption was transient and the recompute is
-          // bit-identical to a never-corrupted run.
-          metrics_.record_sdc_recompute();
-          if (trace_on) {
-            util::trace::instant("sdc_recompute", "serve",
-                                 {{"lane", lane},
-                                  {"batch_seq", batch_seq},
-                                  {"attempt", attempt}});
-          }
-        }
-        return ErrorCode::kOk;
-      } catch (...) {
-        const ErrorCode code = classify_failure(std::current_exception());
-        if (code == ErrorCode::kSilentCorruption) {
-          sdc_seen = true;
-          metrics_.record_sdc_detection();
-          if (trace_on) {
-            util::trace::instant("sdc_detected", "serve",
-                                 {{"lane", lane},
-                                  {"batch_seq", batch_seq},
-                                  {"attempt", attempt}});
-          }
-        }
-        if (trace_on) {
-          util::trace::instant("fault", "serve",
-                               {{"code", error_code_name(code)},
-                                {"lane", lane},
-                                {"batch_seq", batch_seq},
-                                {"attempt", attempt}});
-        }
-        if (!retryable(code) || attempt >= options_.max_retries) return code;
-        ++retries;
-        metrics_.record_retry();
-        if (trace_on) {
-          util::trace::instant("retry", "serve",
-                               {{"attempt", attempt + 1},
-                                {"lane", lane},
-                                {"batch_seq", batch_seq}});
-        }
-        backoff(attempt + 1, lo, hi);
+    d.groups = static_cast<int>(groups.size());
+    plans[0]->apply_batch(groups, direction, d.config, inputs, outputs,
+                          {d.chunks, rank_lanes[0].aux, options_.verify_mode});
+    shares = &plans[0]->last_batch_timings();
+  } else {
+    // One sharded apply: broadcast and gather fused across all n
+    // right-hand sides (kBatched), per-rank compute on the lane's
+    // stream pairs — or, degraded (kNone), every slice serially on
+    // pair 0 with zero collectives, outputs bit-identical (slice
+    // supports are disjoint).
+    try {
+      ls.dist->apply_batch(op, direction, d.config, inputs, outputs, rank_lanes,
+                           mode, d.chunks, options_.verify_mode);
+    } catch (const comm::RankFailure& rf) {
+      metrics_.count(&MetricsSnapshot::rank_failures);
+      if (util::trace::enabled()) {
+        util::trace::instant(
+            "rank_failure", "serve",
+            {{"tenant", static_cast<std::int64_t>(d.batch.requests[0].tenant)},
+             {"rank", static_cast<std::int64_t>(rf.rank())},
+             {"batch_seq", d.batch.seq}});
       }
+      throw;
     }
-  };
-
-  // The whole coalesced batch executes as ONE fused apply_batch: the
-  // cached plan's phase-2/4 FFTs run b * n_s sequences in one launch
-  // and phase 3 is a single grouped multi-RHS SBGEMV carrying one
-  // operator-spectrum pointer per tenant group, so matrix traffic is
-  // paid once per (frequency, tenant) instead of once per request.
-  // When the shape's resolved pipeline chunk count and the batch size
-  // allow (>= 2 chunks of >= 2 RHS), the apply is software-pipelined
-  // over the lane's stream pair — bit-identical outputs, lower
-  // simulated makespan.  The batch's simulated time and PhaseTimings
-  // are attributed by each request's share of the modelled phase work
-  // (plan->last_batch_timings()).
-  int batch_retries = 0;
-  const ErrorCode batch_code = run_range(0, b, batch_retries);
-  std::vector<ErrorCode> codes(b, batch_code);
-  std::vector<int> req_retries(b, batch_retries);
-  if (batch_code != ErrorCode::kOk && b > 1) {
-    // Batch-failure isolation: the fused dispatch kept failing, so
-    // quarantine — each request re-dispatches SOLO with its own fresh
-    // retry budget.  A poisoned request then fails alone instead of
-    // failing all b futures; its companions complete bit-identically
-    // (outputs never depend on batch composition).
-    if (trace_on) {
-      util::trace::instant("quarantine", "serve",
-                           {{"batch_seq", batch_seq}, {"size", batch_size}});
-    }
-    for (std::size_t r = 0; r < b; ++r) {
-      metrics_.record_retry();
-      ++req_retries[r];
-      int solo_retries = 0;
-      codes[r] = run_range(r, r + 1, solo_retries);
-      req_retries[r] += solo_retries;
-    }
+    if (mode != core::CommMode::kNone) metrics_.record_comm(lane, ls.dist->last_timings().comm);
+    shares = &ls.dist->last_batch_timings();
   }
+  for (std::size_t i = 0; i < n; ++i) d.results[i].timings = (*shares)[i];
+}
 
-  std::int64_t done = 0;
-  for (std::size_t r = 0; r < b; ++r) {
-    auto& req = batch.requests[r];
-    const double queue_s = seconds_between(req.enqueued, exec_start);
-    const bool failed = codes[r] != ErrorCode::kOk;
-    if (codes[r] == ErrorCode::kSilentCorruption) {
+void AsyncScheduler::requeue(Dispatch& d, bool quarantine, double delay_seconds) {
+  // Retries wait out their backoff in the queue, holding their key's
+  // place (original arrival seq) but never the lane.
+  const auto not_before =
+      clock::now() + std::chrono::duration_cast<clock::duration>(
+                         std::chrono::duration<double>(delay_seconds));
+  if (!quarantine) metrics_.count(&MetricsSnapshot::retries_attempted);
+  if (util::trace::enabled()) {
+    util::trace::instant(quarantine ? "quarantine" : "retry", "serve",
+                         {{"batch_seq", d.batch.seq},
+                          {"size", static_cast<std::int64_t>(d.batch.requests.size())}});
+  }
+  for (auto& req : d.batch.requests) {
+    ++req.retries;
+    if (quarantine) {
+      metrics_.count(&MetricsSnapshot::retries_attempted);
+      req.solo = true;
+      req.attempts = 0;
+      req.sdc_seen = false;
+    } else {
+      ++req.attempts;
+      req.not_before = not_before;
+    }
+    queue_.requeue(d.batch.key, std::move(req));
+  }
+}
+
+void AsyncScheduler::fulfil(int lane, Dispatch& d, ErrorCode code) {
+  const bool failed = code != ErrorCode::kOk;
+  const auto fulfilled = clock::now();
+  for (std::size_t r = 0; r < d.batch.requests.size(); ++r) {
+    auto& req = d.batch.requests[r];
+    if (code == ErrorCode::kSilentCorruption) {
       // Every retry and the solo quarantine re-dispatch still tripped
       // verification: under the transient-corruption model this marks
       // a miscalibrated tolerance, counted as a false positive.
-      metrics_.record_sdc_false_positive();
+      metrics_.count(&MetricsSnapshot::sdc_false_positives);
     }
-    // Fulfilled-late test against the wall clock at fulfillment; a
+    // Fulfilled-late test against the wall clock at fulfilment; a
     // failed request with a deadline also counts as a miss (it was
     // certainly not served on time).
-    const auto fulfilled = clock::now();
     const bool missed =
         req.has_deadline() && (failed || fulfilled > req.deadline);
-    MatvecResult result;
-    if (failed) {
-      // Failures are VALUES, never future exceptions: the code says
-      // why, and the batch/latency fields below still describe the
-      // attempt (see the AsyncScheduler error contract).
-      result.error = codes[r];
-    } else {
-      result = std::move(results[r]);
-      result.timings = shares[r];
-      // span(): the request's share of the batch's end-to-end
-      // makespan, so per-request sim times still sum to the lane
-      // clock advance when a pipelined batch overlapped phases
-      // (busy-time per phase stays available in `timings`).
-      result.sim_seconds = shares[r].span();
-    }
-    result.queue_seconds = queue_s;
-    result.exec_seconds = seconds_between(exec_start, fulfilled);
-    result.batch_size = batch_size;
+    // Failures are VALUES, never future exceptions: the code says why,
+    // and the batch/latency fields below still describe the final
+    // dispatch (see the AsyncScheduler error contract).
+    MatvecResult result = failed ? MatvecResult{} : std::move(d.results[r]);
+    result.error = code;
+    // span(): the request's share of the batch's end-to-end makespan,
+    // so per-request sim times still sum to the lane clock advance when
+    // a pipelined batch overlapped phases (busy-time per phase stays
+    // available in `timings`).
+    result.sim_seconds = result.timings.span();
+    result.queue_seconds = seconds_between(req.enqueued, *req.first_dispatch);
+    result.exec_seconds = seconds_between(*req.first_dispatch, fulfilled);
+    result.batch_size = static_cast<int>(d.batch.requests.size());
     result.lane = lane;
-    result.batch_seq = batch_seq;
+    result.batch_seq = d.batch.seq;
     result.session = req.session;
     result.deadline_missed = missed;
-    result.retries = req_retries[r];
-    req.promise.set_value(std::move(result));
-    metrics_.record_request(queue_s, seconds_between(exec_start, clock::now()),
-                            codes[r], req.session, req.has_deadline(), missed,
-                            req_retries[r]);
-    ++done;
+    result.retries = req.retries;
+    complete(req, std::move(result));
   }
-  metrics_.record_batch(batch_size, stream.now() - sim_start);
-  // Lane utilisation, sampled here because only the owning lane thread
-  // may read the stream pair's (plain double) clocks: busy is the
-  // summed charged work of the lane's streams (main pair plus any
-  // sharded rank pairs), wall their makespan.
-  double lane_busy = stream.busy() + aux.busy();
-  double lane_wall = std::max(stream.now(), aux.now());
-  for (std::size_t r = 0; r < lane_state.rank_streams.size(); ++r) {
-    lane_busy += lane_state.rank_streams[r]->busy() + lane_state.rank_aux[r]->busy();
-    lane_wall = std::max({lane_wall, lane_state.rank_streams[r]->now(),
-                          lane_state.rank_aux[r]->now()});
-  }
-  metrics_.record_lane(lane, done, lane_busy, lane_wall);
+}
 
-  if (trace_on) {
-    const auto& d = dims.global;
+void AsyncScheduler::end_dispatch(int lane, const Dispatch& d, double sim_start,
+                                  double span_t0, bool fulfilled,
+                                  ErrorCode code) {
+  const Lane& ls = lanes_[static_cast<std::size_t>(lane)];
+  const auto size = static_cast<std::int64_t>(d.batch.requests.size());
+  metrics_.record_batch(static_cast<int>(size), ls.pairs[0].main.now() - sim_start);
+  // Lane utilisation, sampled here because only the owning lane thread
+  // may read its streams' (plain double) clocks: busy is the summed
+  // charged work of every pair, wall their makespan.
+  double lane_busy = 0.0, lane_wall = 0.0;
+  for (const auto& pair : ls.pairs) {
+    lane_busy += pair.main.busy() + pair.aux.busy();
+    lane_wall = std::max({lane_wall, pair.main.now(), pair.aux.now()});
+  }
+  metrics_.record_lane(lane, fulfilled ? size : 0, lane_busy, lane_wall);
+  if (util::trace::enabled()) {
+    const auto& g = d.batch.key.dims.global;
     util::trace::complete(
         "batch", "serve", span_t0, util::trace::now_us() - span_t0,
-        {{"batch_seq", batch_seq},
-         {"size", batch_size},
-         {"groups", static_cast<std::int64_t>(group_count)},
-         {"chunks", resolved_chunks},
+        {{"batch_seq", d.batch.seq},
+         {"size", size},
+         {"groups", static_cast<std::int64_t>(d.groups)},
+         {"chunks", d.chunks},
          {"lane", lane},
-         {"shape", std::to_string(d.n_m) + "x" + std::to_string(d.n_d) + "x" +
-                       std::to_string(d.n_t)},
-         {"dir", direction_name(batch.key.direction)},
-         {"precision", batch.key.precision},
-         {"failed", static_cast<std::int64_t>(std::count_if(
-                        codes.begin(), codes.end(),
-                        [](ErrorCode c) { return c != ErrorCode::kOk; }))},
-         {"retries", batch_retries}});
+         {"shape", std::to_string(g.n_m) + "x" + std::to_string(g.n_d) + "x" +
+                       std::to_string(g.n_t)},
+         {"dir", direction_name(d.batch.key.direction)},
+         {"precision", d.batch.key.precision},
+         {"code", error_code_name(code)},
+         {"requeued", fulfilled ? 0 : 1}});
   }
-
   const auto cache_stats = cache_.stats();
   metrics_.record_cache(cache_stats.hits, cache_stats.misses, cache_stats.evictions);
+  // Released last, so a drain() that returns has every record of this
+  // dispatch (metrics and trace span) in place.
+  if (fulfilled) release(d.batch.requests, /*counted=*/true);
+}
 
+void AsyncScheduler::set_degraded(TenantId tenant, bool degraded) {
   {
-    std::lock_guard lock(state_mutex_);
-    in_flight_ -= done;
-    for (const auto& req : batch.requests) {
-      if (req.session != 0) {
-        if (const auto it = sessions_.find(req.session); it != sessions_.end()) {
-          --it->second.outstanding;
-        }
-      }
+    std::lock_guard lock(tenants_mutex_);
+    if (const auto it = tenants_.find(tenant); it != tenants_.end()) {
+      it->second.degraded = degraded;
     }
   }
-  // Unconditional: close_session waits on per-session outstanding
-  // counts, not just the global in-flight count.
-  cv_drained_.notify_all();
+  if (!degraded && util::trace::enabled()) {
+    util::trace::instant("rank_healed", "serve",
+                         {{"tenant", static_cast<std::int64_t>(tenant)}});
+  }
 }
 
 void AsyncScheduler::drain() {
@@ -1169,10 +1010,9 @@ double AsyncScheduler::max_lane_sim_seconds() const {
   // clocks are included for the makespan-accounting contract.
   double m = 0.0;
   for (const auto& lane : lanes_) {
-    m = std::max(m, lane.stream->now());
-    m = std::max(m, lane.aux->now());
-    for (const auto& s : lane.rank_streams) m = std::max(m, s->now());
-    for (const auto& s : lane.rank_aux) m = std::max(m, s->now());
+    for (const auto& pair : lane.pairs) {
+      m = std::max({m, pair.main.now(), pair.aux.now()});
+    }
   }
   return m;
 }

@@ -42,12 +42,13 @@
 // retries silently:
 //
 //   THROWS std::invalid_argument, synchronously, for caller bugs
-//   only: unknown tenant, wrong input extent, invalid QoS (negative
-//   deadline, non-positive weight), invalid ServeOptions at
-//   construction, and open_stream pin-capacity overflow.
-//   StreamSession::submit/close on a CLOSED handle — or a handle that
-//   outlived its scheduler — still throws std::runtime_error: handle
-//   misuse is a caller bug, not a service outcome.
+//   only: unknown tenant, wrong input extent, a non-finite (NaN/Inf)
+//   input value, invalid QoS (negative deadline, non-positive weight),
+//   invalid ServeOptions at construction, and open_stream
+//   pin-capacity overflow.  StreamSession::submit/close on a CLOSED
+//   handle — or a handle that outlived its scheduler — still throws
+//   std::runtime_error: handle misuse is a caller bug, not a service
+//   outcome.
 //
 //   RETURNS A FAILED FUTURE (a MatvecResult value with `error` set;
 //   NEVER a future exception) for every service-side outcome:
@@ -58,22 +59,28 @@
 //   / kInternal when a dispatch failure survives the retry budget.
 //
 //   RETRIES SILENTLY (observable only through MatvecResult::retries,
-//   ServeMetrics retry counters and trace instants): transient
-//   stream/kernel faults, plan-creation DeviceOutOfMemory and
-//   ABFT-detected silent corruption (ServeOptions::verify_mode —
-//   detections re-dispatch exactly like transient faults, and a clean
-//   recompute is bit-identical to a never-corrupted run) re-dispatch
-//   up to ServeOptions::max_retries times with doubling backoff
-//   clamped to the batch's tightest deadline slack; a batch that
-//   keeps failing is broken up and each request re-dispatched solo,
-//   so one poisoned request cannot fail its batch companions; and a
-//   sharded tenant whose rank group loses a rank falls back to a
-//   bit-identical single-rank dispatch (slower: no rank parallelism),
-//   the tenant marked degraded until a later sharded dispatch
-//   succeeds.
+//   ServeMetrics retry counters and trace instants), as the pure
+//   recover() policy decides: transient stream/kernel faults,
+//   plan-creation DeviceOutOfMemory and ABFT-detected silent
+//   corruption (ServeOptions::verify_mode — a clean recompute is
+//   bit-identical to a never-corrupted run) re-dispatch up to
+//   ServeOptions::max_retries times with doubling backoff clamped to
+//   the batch's tightest deadline slack.  A retry waits out its
+//   backoff back in the RequestQueue, in its arrival order — no lane
+//   thread ever sleeps, so other keys keep dispatching.  A batch that
+//   keeps failing is broken up and each request requeued solo, so one
+//   poisoned request cannot fail its batch companions; and a sharded
+//   tenant whose rank group loses a rank re-runs at once without
+//   collectives (bit-identical, no rank parallelism), the tenant
+//   marked degraded until a later sharded dispatch succeeds.  A
+//   retried result describes its final dispatch (batch_size,
+//   batch_seq, lane); queue_seconds ends at the first dispatch.
 #pragma once
 
+#include <chrono>
+#include <deque>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -169,9 +176,10 @@ struct ServeOptions {
   /// pass, and each quarantined request gets the same budget solo.
   /// 0 disables retry (first failure is final).
   int max_retries = 2;
-  /// Base backoff before a re-dispatch; attempt k sleeps
-  /// retry_backoff_seconds * 2^(k-1), clamped so the wait never
-  /// exceeds the tightest remaining deadline slack in the batch.
+  /// Base backoff before a re-dispatch: retry k waits in the queue
+  /// (never on a lane) for retry_backoff_seconds * 2^(k-1), clamped so
+  /// the wait never exceeds the tightest remaining deadline slack in
+  /// the batch.
   double retry_backoff_seconds = 50e-6;
   /// ABFT verification level for every dispatched batch
   /// (core::VerifyMode): kChecksum arms the grouped-GEMV column
@@ -244,6 +252,32 @@ int adaptive_rank_group(const device::DeviceSpec& spec,
                         const core::ProblemDims& dims, int max_rank_group,
                         const comm::NetworkSpec& network = comm::NetworkSpec::frontier());
 
+/// A dispatch attempt's outcome, as the recovery policy sees it.
+struct RecoveryState {
+  ErrorCode code = ErrorCode::kOk;
+  int attempt = 0;        ///< failed dispatches before this one (budget)
+  bool solo = false;      ///< the dispatch carried a single request
+  bool degraded = false;  ///< the attempt already ran without collectives
+  int max_retries = 0;    ///< ServeOptions::max_retries
+  double backoff_seconds = 0.0;  ///< ServeOptions::retry_backoff_seconds
+  /// Tightest remaining deadline slack in the batch (may be negative).
+  double slack_seconds = std::numeric_limits<double>::infinity();
+};
+
+/// What the lane does next: fulfil with the result (kComplete) or the
+/// code (kFail), requeue the batch not before delay_seconds (kRetry),
+/// requeue each request solo with a fresh budget (kQuarantine), or
+/// re-attempt at once without collectives (kDegrade).
+struct Recovery {
+  enum class Action : unsigned char { kComplete, kRetry, kQuarantine, kDegrade, kFail };
+  Action action = Action::kComplete;
+  double delay_seconds = 0.0;
+};
+
+/// The serving layer's recovery policy: a pure function (no threads,
+/// devices or clocks), unit-testable on its own.
+Recovery recover(const RecoveryState& state);
+
 class AsyncScheduler {
  public:
   explicit AsyncScheduler(const device::DeviceSpec& spec, ServeOptions options = {});
@@ -285,8 +319,8 @@ class AsyncScheduler {
   /// form: new request-path fields — e.g. StreamQoS — land on the
   /// struct, not on a growing argument list).  `request.input` is
   /// TOSI (n_t x n_m for forward, n_t x n_d for adjoint).  Throws
-  /// std::invalid_argument for an unknown tenant, wrong extent or
-  /// invalid QoS; every other outcome — including a submit after
+  /// std::invalid_argument for an unknown tenant, wrong extent, a
+  /// non-finite input value or invalid QoS; every other outcome — including a submit after
   /// shutdown (kShutdown) and bounded-admission refusal (kQueueFull)
   /// — arrives as a fulfilled future whose MatvecResult carries the
   /// ErrorCode (see the class error contract).
@@ -340,13 +374,10 @@ class AsyncScheduler {
   friend class StreamSession;
 
   struct Tenant {
-    core::LocalDims dims;
-    /// Single-rank operator; null when the tenant is sharded.
-    std::shared_ptr<core::BlockToeplitzOperator> op;
-    /// Rank-group size (1 = unsharded).
-    int rank_group = 1;
-    /// Sharded placement (rank_group > 1); null otherwise.
-    std::shared_ptr<core::ShardedOperator> sharded;
+    /// The tenant's operator on its rank group; a plain tenant holds a
+    /// one-rank group (the unsliced operator), so ranks() is the
+    /// placement add_tenant resolved.
+    std::shared_ptr<core::ShardedOperator> op;
     /// Serving on the single-rank fallback after a rank failure
     /// (guarded by tenants_mutex_); cleared when a sharded dispatch
     /// next succeeds.
@@ -364,30 +395,60 @@ class AsyncScheduler {
     core::LocalDims dims;
     std::int64_t outstanding = 0;
   };
-  /// Each lane owns a stream PAIR: `stream` drives the serial phases
-  /// (and is the stream cached plans are bound to), `aux` carries the
-  /// SBGEMV stage of pipelined batches (core::BatchPipeline::aux).
-  /// Pair ownership is per lane, so a cached plan is still never
-  /// driven from two threads and PlanKey is unchanged.
+  /// A stream PAIR: `main` drives the serial phases (and is the stream
+  /// cached plans are bound to), `aux` carries the SBGEMV stage of
+  /// pipelined batches (core::BatchPipeline::aux).
+  struct StreamPair {
+    explicit StreamPair(device::Device& dev) : main(dev), aux(dev) {}
+    device::Stream main, aux;
+  };
+  /// Pair ownership is per lane, so a cached plan is never driven from
+  /// two threads and PlanKey is unchanged.  pairs[0] is the lane's own
+  /// pair (device-trace tids 2i / 2i+1); shard rank r of a sharded
+  /// dispatch drives pairs[r], grown lazily to the widest rank group
+  /// the lane has executed (a deque, so growth never moves a stream a
+  /// cached plan is bound to).
   struct Lane {
-    std::unique_ptr<device::Stream> stream;
-    std::unique_ptr<device::Stream> aux;
-    /// Extra stream pairs for sharded dispatch, grown lazily to the
-    /// widest rank group this lane has executed: shard rank 0 reuses
-    /// the pair above, shard rank r >= 1 drives rank_streams[r-1] /
-    /// rank_aux[r-1].  Lane-owned like the main pair, so cached rank
-    /// plans are still never driven from two threads; untracked in
-    /// the device trace (tid -1).
-    std::vector<std::unique_ptr<device::Stream>> rank_streams;
-    std::vector<std::unique_ptr<device::Stream>> rank_aux;
-    /// Per-lane sharded orchestrator (its output staging is grow-only
-    /// scratch, reused across tenants and batches).
+    std::deque<StreamPair> pairs;
+    /// Sharded orchestrator (its output staging is grow-only scratch,
+    /// reused across tenants and batches).
     std::unique_ptr<core::DistributedMatvecPlan> dist;
     std::thread worker;
   };
+  /// A popped batch on its way through attempt -> recover: each
+  /// request's tenant operator (kept alive by the shared_ptrs) and
+  /// what the last attempt produced.
+  struct Dispatch {
+    Batch batch;
+    precision::PrecisionConfig config;
+    std::vector<std::shared_ptr<core::ShardedOperator>> ops;
+    bool was_degraded = false;  ///< the (sharded) tenant's flag at pop
+    std::vector<MatvecResult> results;  ///< outputs and timing shares
+    int chunks = 1, groups = 1;         ///< for the batch trace span
+  };
 
   void worker_loop(int lane);
-  void execute_batch(int lane, Batch& batch);
+  /// The lane loop body: attempt -> recover -> fulfil or requeue.
+  void dispatch(int lane, Batch batch);
+  /// Resolve the batch's operators; close first dispatches' queue waits.
+  Dispatch begin_dispatch(Batch batch, std::chrono::steady_clock::time_point now);
+  /// One dispatch attempt: acquire plans, run ONE fused apply and fill
+  /// the per-request outputs and timing shares.  Throws on failure.
+  void attempt(int lane, Dispatch& d, core::CommMode mode);
+  /// Put a failed dispatch back in the queue: every member after
+  /// `delay_seconds`, or (quarantine) each member solo.
+  void requeue(Dispatch& d, bool quarantine, double delay_seconds);
+  /// Fulfil every request of the dispatch with `code`.
+  void fulfil(int lane, Dispatch& d, ErrorCode code);
+  /// Per-dispatch metrics and trace span; releases the requests once
+  /// `fulfilled`.
+  void end_dispatch(int lane, const Dispatch& d, double sim_start,
+                    double span_t0, bool fulfilled, ErrorCode code);
+  /// A copy of `tenant`'s registration; throws std::invalid_argument
+  /// naming `caller` for an unknown tenant.
+  Tenant tenant_of(TenantId tenant, const char* caller) const;
+  /// A rank failure sets the flag; the next clean sharded dispatch clears it.
+  void set_degraded(TenantId tenant, bool degraded);
 
   /// Common enqueue path behind submit and session
   /// submits: validates (throwing std::invalid_argument for caller
@@ -402,6 +463,11 @@ class AsyncScheduler {
   /// request already holds an in_flight_ / session-outstanding count
   /// to release.
   void retire_undispatched(PendingRequest req, ErrorCode code, bool counted);
+  /// Record `req`'s outcome and fulfil its promise with `result`.
+  void complete(PendingRequest& req, MatvecResult result);
+  /// Release fulfilled requests' in-flight (when `counted`) and
+  /// session-outstanding counts, waking drain() and close_session.
+  void release(std::span<const PendingRequest> reqs, bool counted);
   /// StreamSession::submit body: resolves the session's (tenant,
   /// direction, config, qos), counts the apply outstanding and
   /// delegates to enqueue().
@@ -454,8 +520,7 @@ class AsyncScheduler {
   bool accepting_ = true;
   bool workers_stopped_ = false;
   /// Open streaming sessions (guarded by state_mutex_; cv_drained_
-  /// doubles as the per-session drain signal — execute_batch notifies
-  /// after every batch).
+  /// doubles as the per-session drain signal — release() notifies).
   std::map<SessionId, SessionState> sessions_;
   SessionId next_session_ = 1;
 

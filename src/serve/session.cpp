@@ -7,14 +7,9 @@
 
 namespace fftmv::serve {
 
-StreamSession::StreamSession(StreamSession&& other) noexcept
-    : sched_(std::exchange(other.sched_, nullptr)),
-      live_(std::move(other.live_)),
-      id_(std::exchange(other.id_, 0)),
-      tenant_(other.tenant_),
-      direction_(other.direction_),
-      config_(std::move(other.config_)),
-      qos_(other.qos_) {}
+StreamSession::StreamSession(StreamSession&& other) noexcept {
+  *this = std::move(other);  // closing an empty handle is a no-op
+}
 
 StreamSession& StreamSession::operator=(StreamSession&& other) noexcept {
   if (this != &other) {

@@ -62,8 +62,8 @@ class StreamSession {
   StreamSession& operator=(const StreamSession&) = delete;
   ~StreamSession();
 
-  /// Enqueue the session's next apply (TOSI input, same extent rules
-  /// as AsyncScheduler::submit).  The session's applies are dispatched
+  /// Enqueue the session's next apply (TOSI input, same extent and
+  /// finiteness rules as AsyncScheduler::submit).  The session's applies are dispatched
   /// in submit order.  Throws std::runtime_error on a closed handle
   /// (or one that outlived its scheduler) — handle misuse is a caller
   /// bug; a live handle racing the scheduler's shutdown() instead

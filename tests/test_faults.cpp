@@ -2,8 +2,9 @@
 // scripted windows + seeded sampling), device-level fault surfacing
 // (StreamFault, injected DeviceOutOfMemory, RankFailure), silent-data-
 // corruption injection with ABFT checksum/Parseval detection and
-// bit-identical recompute, serve-layer retry with bit-identical
-// re-dispatch, per-request quarantine after a poisoned batch,
+// bit-identical recompute, the pure serve recovery policy, retries
+// that wait out their backoff back in the request queue (bit-identical
+// re-dispatch), per-request quarantine after a poisoned batch,
 // sharded-group degradation and healing, bounded admission with load
 // shedding, and the unified submit-after-shutdown contract.  Labelled
 // `faults` in ctest.
@@ -15,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blas/sbgemv.hpp"
@@ -566,7 +568,8 @@ TEST(AbftChecksum, SeededSingleFlipSweepDetectsEveryOutputChange) {
 }
 
 // With verification on, a non-finite input trips the checksum compare
-// on every attempt (the serve layer surfaces kSilentCorruption).
+// on every attempt (which is why the serve layer rejects such input at
+// submit).
 TEST(AbftChecksum, NonFiniteInputTripsChecksum) {
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
@@ -907,10 +910,12 @@ TEST(ServeFaults, SessionOrderingSurvivesMidStreamDegradation) {
   AsyncScheduler sched(device::make_mi300x(), opts);
   const TenantId t = sched.add_tenant(small_dims(), col, /*rank_group=*/2);
   // Some mid-stream sharded dispatches lose rank 1 and re-dispatch on
-  // the degraded path; the session's dispatch-order guarantee and the
-  // outputs must survive.
+  // the degraded path, and one mid-stream kernel launch faults, so its
+  // batch goes back to the queue for a retry; the session's
+  // dispatch-order guarantee and the outputs must survive both.
   auto faults = std::make_shared<FaultPlan>();
   faults->fail_rank(1, 1, 3);
+  faults->fail_kernel_launches(12, 13);
   sched.device().set_fault_plan(faults);
 
   StreamSession session = sched.open_stream(t, core::ApplyDirection::kForward,
@@ -927,6 +932,284 @@ TEST(ServeFaults, SessionOrderingSurvivesMidStreamDegradation) {
   }
   session.close();
   EXPECT_GE(sched.metrics().rank_failures, 1);
+  EXPECT_EQ(faults->stats().kernel_faults, 1u);
+  EXPECT_GE(sched.metrics().retries_attempted, 1);
+}
+
+// Regression: a retry's backoff waits in the queue, never on the lane.
+// With one lane, key A's batch faults and backs off 0.2 s; key B
+// (another precision config), submitted after the fault, must
+// dispatch during that backoff — before A's re-dispatch.  A lane that
+// slept through the backoff would run A's retry first.
+TEST(ServeFaults, BackoffHoldsOnlyItsOwnKey) {
+  ServeOptions opts;
+  opts.num_streams = 1;
+  opts.max_retries = 1;
+  opts.retry_backoff_seconds = 0.2;
+  const auto col =
+      core::make_first_block_col(core::LocalDims::single_rank(small_dims()), 41);
+  const auto input_a =
+      core::make_input_vector(small_dims().n_t * small_dims().n_m, 42);
+  const auto input_b =
+      core::make_input_vector(small_dims().n_t * small_dims().n_m, 43);
+  const auto config_b = precision::PrecisionConfig::parse("dssdd");
+  const auto request = [](TenantId t, const precision::PrecisionConfig& config,
+                          const std::vector<double>& in) {
+    return Request{.tenant = t,
+                   .direction = core::ApplyDirection::kForward,
+                   .config = config,
+                   .input = in};
+  };
+  std::vector<double> clean_a, clean_b;
+  {
+    AsyncScheduler clean(device::make_mi300x(), opts);
+    const TenantId t = clean.add_tenant(small_dims(), col);
+    clean_a = clean.submit(request(t, {}, input_a)).get().output;
+    clean_b = clean.submit(request(t, config_b, input_b)).get().output;
+  }
+
+  AsyncScheduler sched(device::make_mi300x(), opts);
+  const TenantId t = sched.add_tenant(small_dims(), col);
+  sched.submit(request(t, {}, input_a)).get();  // warm the plan cache
+  auto faults = std::make_shared<FaultPlan>();
+  faults->fail_kernel_launches(0, 1);  // A's first launch
+  sched.device().set_fault_plan(faults);
+
+  auto fa = sched.submit(request(t, {}, input_a));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (faults->stats().kernel_faults < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(faults->stats().kernel_faults, 1u);
+  auto fb = sched.submit(request(t, config_b, input_b));
+  const auto a = fa.get();
+  const auto b = fb.get();
+  ASSERT_TRUE(a.ok()) << error_code_name(a.error);
+  ASSERT_TRUE(b.ok()) << error_code_name(b.error);
+  EXPECT_EQ(a.output, clean_a);
+  EXPECT_EQ(b.output, clean_b);
+  EXPECT_EQ(a.retries, 1);
+  EXPECT_EQ(b.retries, 0);
+  EXPECT_LT(b.batch_seq, a.batch_seq);  // B dispatched during A's backoff
+}
+
+// ------------------------------------------------- input validation
+// A NaN/Inf input is a caller bug, rejected at submit like a wrong
+// extent — it never reaches a device, so nothing is charged and no
+// retry is spent on it, whatever the verify mode.
+TEST(ServeFaults, NonFiniteInputRejectedAtSubmit) {
+  for (const auto verify : {core::VerifyMode::kOff, core::VerifyMode::kChecksum}) {
+    ServeOptions opts;
+    opts.num_streams = 1;
+    opts.verify_mode = verify;
+    AsyncScheduler sched(device::make_mi300x(), opts);
+    const auto tenant = register_tenant(sched, small_dims(), 47);
+    StreamSession session = sched.open_stream(
+        tenant.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{});
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      auto input = core::make_input_vector(small_dims().n_t * small_dims().n_m, 48);
+      input[7] = bad;
+      EXPECT_THROW(sched.submit(Request{.tenant = tenant.tenant,
+                                        .direction = core::ApplyDirection::kForward,
+                                        .config = precision::PrecisionConfig{},
+                                        .input = input}),
+                   std::invalid_argument)
+          << bad;
+      EXPECT_THROW(session.submit(input), std::invalid_argument) << bad;
+    }
+    session.close();  // nothing outstanding: the refused applies released
+    sched.drain();
+    EXPECT_EQ(sched.max_lane_sim_seconds(), 0.0);  // no device time charged
+    const auto snap = sched.metrics();
+    EXPECT_EQ(snap.submitted, 0);
+    EXPECT_EQ(snap.retries_attempted, 0);
+    EXPECT_EQ(snap.sdc_detected, 0);
+  }
+}
+
+// ------------------------------------------------- recovery policy
+TEST(RecoveryPolicy, DecisionTable) {
+  using Action = Recovery::Action;
+  constexpr double kBackoff = 1e-3;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Row {
+    ErrorCode code;
+    int attempt;
+    bool solo;
+    bool degraded;
+    double slack;
+    Action action;
+    double delay;
+  };
+  const Row rows[] = {
+      {ErrorCode::kOk, 0, false, false, kInf, Action::kComplete, 0.0},
+      {ErrorCode::kOk, 2, true, true, -1.0, Action::kComplete, 0.0},
+      // Retryable codes with budget left: doubling backoff.
+      {ErrorCode::kTransientDevice, 0, false, false, kInf, Action::kRetry, kBackoff},
+      {ErrorCode::kTransientDevice, 1, true, false, kInf, Action::kRetry, 2 * kBackoff},
+      {ErrorCode::kOutOfMemory, 0, true, false, kInf, Action::kRetry, kBackoff},
+      {ErrorCode::kSilentCorruption, 1, false, false, kInf, Action::kRetry,
+       2 * kBackoff},
+      // Clamped to the tightest deadline slack, never below zero.
+      {ErrorCode::kTransientDevice, 1, false, false, 1.5e-3, Action::kRetry, 1.5e-3},
+      {ErrorCode::kTransientDevice, 0, false, false, 0.0, Action::kRetry, 0.0},
+      {ErrorCode::kOutOfMemory, 0, false, false, -0.5, Action::kRetry, 0.0},
+      // Budget exhausted: a batch quarantines, a single request fails.
+      {ErrorCode::kTransientDevice, 2, false, false, kInf, Action::kQuarantine, 0.0},
+      {ErrorCode::kSilentCorruption, 2, false, false, kInf, Action::kQuarantine, 0.0},
+      {ErrorCode::kTransientDevice, 2, true, false, kInf, Action::kFail, 0.0},
+      {ErrorCode::kSilentCorruption, 3, true, false, kInf, Action::kFail, 0.0},
+      // Non-retryable codes fail at once, budget or not.
+      {ErrorCode::kInternal, 0, false, false, kInf, Action::kFail, 0.0},
+      {ErrorCode::kShutdown, 0, false, false, kInf, Action::kFail, 0.0},
+      {ErrorCode::kQueueFull, 0, true, false, kInf, Action::kFail, 0.0},
+      {ErrorCode::kShed, 0, true, false, kInf, Action::kFail, 0.0},
+      // A down rank degrades once, without spending budget.
+      {ErrorCode::kRankFailure, 0, false, false, kInf, Action::kDegrade, 0.0},
+      {ErrorCode::kRankFailure, 2, true, false, 0.0, Action::kDegrade, 0.0},
+      {ErrorCode::kRankFailure, 0, false, true, kInf, Action::kFail, 0.0},
+  };
+  for (const Row& row : rows) {
+    RecoveryState state;
+    state.code = row.code;
+    state.attempt = row.attempt;
+    state.solo = row.solo;
+    state.degraded = row.degraded;
+    state.max_retries = 2;
+    state.backoff_seconds = kBackoff;
+    state.slack_seconds = row.slack;
+    const Recovery r = recover(state);
+    EXPECT_EQ(r.action, row.action)
+        << error_code_name(row.code) << " attempt " << row.attempt;
+    if (row.action == Action::kRetry) {
+      EXPECT_EQ(r.delay_seconds, row.delay)
+          << error_code_name(row.code) << " attempt " << row.attempt;
+    }
+  }
+  // No budget at all: the first failure of a batch quarantines.
+  RecoveryState none;
+  none.code = ErrorCode::kTransientDevice;
+  EXPECT_EQ(recover(none).action, Action::kQuarantine);
+  none.solo = true;
+  EXPECT_EQ(recover(none).action, Action::kFail);
+}
+
+// ------------------------------------------------- requeue
+TEST(Requeue, AcceptedAfterCloseAndDrained) {
+  RequestQueue q(8, 0.0);
+  const BatchKey key = batch_key(small_dims());
+  ASSERT_TRUE(q.push(key, make_request(1)).accepted());
+  q.close();
+  EXPECT_EQ(q.push(key, make_request(2)).status,
+            RequestQueue::PushOutcome::Status::kClosed);
+  auto batch = q.pop_batch();
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->requests.size(), 1u);
+  q.requeue(key, std::move(batch->requests[0]));  // the retry is kept
+  EXPECT_EQ(q.pending(), 1u);
+  batch = q.pop_batch();
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->requests.size(), 1u);
+  EXPECT_EQ(batch->requests[0].tenant, 1u);
+  EXPECT_TRUE(batch->requests[0].retrying);
+  EXPECT_FALSE(q.pop_batch().has_value());  // drained
+}
+
+TEST(Requeue, AcceptedAtDepthBound) {
+  RequestQueue q(8, 10.0, 0, true, /*max_queue_depth=*/1,
+                 OverloadPolicy::kRejectNew);
+  const BatchKey key = batch_key(small_dims());
+  ASSERT_TRUE(q.push(key, make_request(1)).accepted());
+  EXPECT_EQ(q.push(key, make_request(2)).status,
+            RequestQueue::PushOutcome::Status::kFull);
+  q.requeue(key, make_request(3));  // admitted once already: never refused
+  EXPECT_EQ(q.pending(), 2u);
+}
+
+TEST(Requeue, NotBeforeHoldsKeyEvenWhileDraining) {
+  using clock = std::chrono::steady_clock;
+  RequestQueue q(8, 0.0);
+  const BatchKey key = batch_key(small_dims());
+  PendingRequest retry = make_request(1);
+  retry.not_before = clock::now() + std::chrono::milliseconds(50);
+  q.requeue(key, std::move(retry));
+  q.close();
+  const auto t0 = clock::now();
+  const auto batch = q.pop_batch();
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->requests.size(), 1u);
+  EXPECT_GE(clock::now() - t0, std::chrono::milliseconds(45));
+  EXPECT_FALSE(q.pop_batch().has_value());
+}
+
+TEST(Requeue, SoloRequestPopsAlone) {
+  RequestQueue q(8, 0.0);
+  const BatchKey key = batch_key(small_dims());
+  ASSERT_TRUE(q.push(key, make_request(1)).accepted());
+  auto first = q.pop_batch();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(q.push(key, make_request(2)).accepted());
+  ASSERT_TRUE(q.push(key, make_request(3)).accepted());
+  // Request 1 comes back quarantined, ahead of 2 and 3 (its old seq).
+  PendingRequest solo = std::move(first->requests[0]);
+  solo.solo = true;
+  q.requeue(key, std::move(solo));
+  ASSERT_TRUE(q.push(key, make_request(4)).accepted());
+  std::vector<std::vector<TenantId>> pops;
+  while (q.pending() > 0) {
+    const auto batch = q.pop_batch();
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_FALSE(batch->requests.empty());
+    pops.emplace_back();
+    for (const auto& req : batch->requests) pops.back().push_back(req.tenant);
+  }
+  const std::vector<std::vector<TenantId>> want = {{1}, {2, 3, 4}};
+  EXPECT_EQ(pops, want);
+
+  // A solo request behind fresh work cuts the batch short, then pops
+  // alone; the work behind it is never coalesced across it.
+  ASSERT_TRUE(q.push(key, make_request(5)).accepted());
+  auto mid = q.pop_batch();
+  ASSERT_TRUE(mid.has_value());
+  ASSERT_TRUE(q.push(key, make_request(6)).accepted());
+  PendingRequest s = std::move(mid->requests[0]);
+  s.solo = true;
+  ASSERT_TRUE(q.push(key, make_request(7)).accepted());
+  q.requeue(key, std::move(s));  // seq of 5: ahead of 6 and 7
+  q.close();
+  const auto a = q.pop_batch();
+  ASSERT_TRUE(a.has_value());
+  ASSERT_EQ(a->requests.size(), 1u);
+  EXPECT_EQ(a->requests[0].tenant, 5u);
+  const auto b = q.pop_batch();
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(b->requests.size(), 2u);
+}
+
+TEST(Requeue, KeepsSeqPlaceInBothModes) {
+  for (const bool aware : {true, false}) {
+    RequestQueue q(/*max_batch=*/1, 0.0, 0, aware);
+    const BatchKey key = batch_key(small_dims());
+    for (TenantId t = 1; t <= 3; ++t) ASSERT_TRUE(q.push(key, make_request(t)).accepted());
+    auto first = q.pop_batch();  // request 1 dispatches and fails
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(q.push(key, make_request(4)).accepted());
+    q.requeue(key, std::move(first->requests[0]));
+    std::vector<TenantId> order;
+    std::vector<bool> retrying;
+    while (q.pending() > 0) {
+      const auto batch = q.pop_batch();
+      ASSERT_TRUE(batch.has_value());
+      order.push_back(batch->requests[0].tenant);
+      retrying.push_back(batch->requests[0].retrying);
+    }
+    EXPECT_EQ(order, (std::vector<TenantId>{1, 2, 3, 4})) << "aware " << aware;
+    EXPECT_EQ(retrying, (std::vector<bool>{true, false, false, false}))
+        << "aware " << aware;
+  }
 }
 
 // ------------------------------------------------- shutdown contract
