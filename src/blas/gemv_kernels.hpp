@@ -22,6 +22,10 @@
 //    summation order is reproduced here because it changes rounding
 //    behaviour relative to the sequential reference kernel.
 //
+// Each kernel has exactly one body, written for several right-hand
+// sides sharing one matrix (`*_multi_block`); gemv_grouped_block runs
+// it once per operator group, and sbgemv_grouped (sbgemv.hpp) is the
+// only launcher.  A single-RHS call is the one-group, one-RHS case.
 // Each kernel exposes its LaunchGeometry and KernelFootprint via a
 // *model* function so the analytic paper-scale sweeps use exactly the
 // same cost inputs as real executions.
@@ -71,12 +75,20 @@ inline device::LaunchGeometry gemv_geometry(GemvKernelKind kind, index_t m,
   return {};
 }
 
-/// Resource footprint for a kernel kind.  Traffic counts the matrix
-/// once plus the vectors (x assumed L2-resident across blocks of the
-/// same batch entry, so counted once per batch entry).
+/// Resource footprint of a launch applying `groups` operator
+/// matrices to `nrhs` right-hand sides in total (groups = nrhs = 1 is
+/// the plain single-RHS kernel).  Each group's matrix is read once
+/// per batch entry (the column tile stays resident while the group's
+/// vectors stream through it, and is re-staged when the group — and
+/// with it the matrix — changes); x is assumed L2-resident across
+/// blocks of the same batch entry, so it is counted once per (batch
+/// entry, RHS).  Vector traffic and flops scale with nrhs.  The
+/// reference transpose kernel's serial dependency chain grows
+/// nrhs-fold per block, so its residency weight scales accordingly.
 template <class T>
 device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
-                                       index_t n, index_t batch) {
+                                       index_t n, index_t batch,
+                                       index_t groups = 1, index_t nrhs = 1) {
   const double es = static_cast<double>(sizeof(T));
   const double b = static_cast<double>(batch);
   const double matrix = b * static_cast<double>(m) * static_cast<double>(n) * es;
@@ -112,51 +124,19 @@ device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
       fp.coalescing_efficiency = 0.84;
       break;
   }
-  return fp;
-}
 
-/// Resource footprint of the multi-RHS variant: the matrix is read
-/// ONCE per batch entry (each column tile stays resident while all
-/// nrhs vectors stream through it) while vector traffic and flops
-/// scale with nrhs.  The reference transpose kernel's serial
-/// dependency chain grows nrhs-fold per block, so its residency
-/// weight scales accordingly.
-template <class T>
-device::KernelFootprint gemv_multi_footprint(GemvKernelKind kind, index_t m,
-                                             index_t n, index_t batch,
-                                             index_t nrhs) {
-  device::KernelFootprint fp = gemv_footprint<T>(kind, m, n, batch);
-  const double es = static_cast<double>(sizeof(T));
-  const double b = static_cast<double>(batch);
+  // Extra RHS, then extra groups, on top of the single-RHS figures;
+  // this evaluation order is what every modelled number was produced
+  // with, so keep it.
   const double extra = static_cast<double>(nrhs - 1);
-  const double xlen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? n : m);
-  const double ylen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? m : n);
   fp.bytes_read += extra * b * xlen * es;
   fp.bytes_written += extra * b * ylen * es;
   fp.flops *= static_cast<double>(nrhs);
   if (kind == GemvKernelKind::kReferenceT) {
     fp.residency_weight *= static_cast<double>(nrhs);
   }
-  return fp;
-}
-
-/// Resource footprint of the grouped variant: each of the
-/// `num_groups` operator matrices is read once per batch entry (the
-/// column tile is re-staged when the group — and with it the matrix —
-/// changes), while vector traffic and flops scale with the total RHS
-/// count exactly as in the flat multi-RHS kernel.  num_groups == 1
-/// reproduces gemv_multi_footprint bit for bit, so the same-operator
-/// case keeps its modelled cost.
-template <class T>
-device::KernelFootprint gemv_grouped_footprint(GemvKernelKind kind, index_t m,
-                                               index_t n, index_t batch,
-                                               index_t num_groups,
-                                               index_t total_nrhs) {
-  device::KernelFootprint fp =
-      gemv_multi_footprint<T>(kind, m, n, batch, total_nrhs);
-  fp.bytes_read += static_cast<double>(num_groups - 1) *
-                   static_cast<double>(batch) * static_cast<double>(m) *
-                   static_cast<double>(n) * static_cast<double>(sizeof(T));
+  fp.bytes_read += static_cast<double>(groups - 1) * b *
+                   static_cast<double>(m) * static_cast<double>(n) * es;
   return fp;
 }
 
@@ -280,24 +260,10 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
   }
 }
 
-/// Grouped kernel bodies: gridblock (bx, bz) walks the RHS groups in
-/// order and runs the matching multi-RHS body on each group's matrix,
-/// so per-(group, RHS) arithmetic — summation order included — is
-/// bit-identical to one sbgemv_multi call per group.
-template <class T>
-void gemv_n_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-template <class T>
-void gemv_t_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-template <class T>
-void gemv_t_optimized_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-
-/// Multi-RHS reference non-transpose body: each 64-row chunk streams
-/// its matrix rows once; every RHS consumes a row before the next row
-/// is touched.  Per-(row, RHS) arithmetic matches the single-RHS
-/// kernel exactly.
+/// Reference non-transpose body for gridblock (bx, ., bz): each
+/// 64-row chunk streams its matrix rows once; every RHS consumes a
+/// row before the next row is touched.  Per-(row, RHS) arithmetic
+/// does not depend on nrhs.
 template <class T>
 void gemv_n_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
                                   index_t bz) {
@@ -318,9 +284,11 @@ void gemv_n_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
   }
 }
 
-/// Multi-RHS reference transpose body: gridblock bx's column is read
-/// once and dotted against every RHS in turn (nrhs serial dot
-/// products per block — the residency weight scales to match).
+/// Reference transpose body: gridblock bx computes output element bx
+/// of batch entry bz as one sequential dot product per RHS; its
+/// column is read once and dotted against every RHS in turn (nrhs
+/// serial dot products per block — the residency weight scales to
+/// match).
 template <class T>
 void gemv_t_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
                                   index_t bz) {
@@ -338,10 +306,11 @@ void gemv_t_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
   }
 }
 
-/// Multi-RHS optimized transpose body: column-outer, RHS-inner, so a
-/// column tile is loaded once and reused by all nrhs vectors; each
-/// (column, RHS) pair runs the identical lane-strided accumulation
-/// and wavefront tree reduction of the single-RHS kernel.
+/// Optimized transpose body: gridblock bx owns columns [bx*TILE, ...);
+/// column-outer, RHS-inner, so a column tile is loaded once and
+/// reused by all nrhs vectors.  Each (column, RHS) dot is computed
+/// with 64 striding lanes (coalesced loads) followed by a
+/// shuffle-style tree reduction (6 halving steps).
 template <class T>
 void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
                                   index_t bz) {
@@ -371,61 +340,18 @@ void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
   }
 }
 
-template <class T>
-void gemv_n_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
+/// Grouped kernel body: gridblock (bx, bz) walks the RHS groups in
+/// order and runs the multi-RHS `body` on each group's slice, so
+/// per-(group, RHS) arithmetic — summation order included — is
+/// bit-identical to a one-group launch per group.
+template <class T, class Body>
+void gemv_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx, index_t bz,
+                        const Body& body) {
   index_t r0 = 0;
   for (const auto& g : ga.groups) {
-    gemv_n_reference_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
+    body(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
     r0 += g.nrhs;
   }
-}
-
-template <class T>
-void gemv_t_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
-  index_t r0 = 0;
-  for (const auto& g : ga.groups) {
-    gemv_t_reference_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
-    r0 += g.nrhs;
-  }
-}
-
-template <class T>
-void gemv_t_optimized_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
-  index_t r0 = 0;
-  for (const auto& g : ga.groups) {
-    gemv_t_optimized_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
-    r0 += g.nrhs;
-  }
-}
-
-// The single-RHS kernel bodies are the nrhs = 1 degenerate case of
-// the multi bodies above — one definition per kernel keeps the
-// summation order (and thus the bit-exactness contract between
-// sbgemv and sbgemv_multi) in exactly one place.
-
-/// Reference non-transpose kernel body for gridblock (bx, ., bz).
-template <class T>
-void gemv_n_reference_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_n_reference_multi_block<T>({a, 1, 0, 0}, bx, bz);
-}
-
-/// Reference transpose kernel body: gridblock bx computes output
-/// element bx of batch entry bz as one sequential dot product.
-template <class T>
-void gemv_t_reference_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_t_reference_multi_block<T>({a, 1, 0, 0}, bx, bz);
-}
-
-/// Optimized transpose kernel body: gridblock bx owns columns
-/// [bx*TILE, ...); each column's dot is computed with 64 striding
-/// lanes (coalesced loads) followed by a shuffle-style tree reduction
-/// (6 halving steps).
-template <class T>
-void gemv_t_optimized_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_t_optimized_multi_block<T>({a, 1, 0, 0}, bx, bz);
 }
 
 }  // namespace fftmv::blas

@@ -74,29 +74,16 @@ struct SbgemvArgs {
   }
 };
 
-/// Shared multi-RHS y-write aliasing rule (used by SbgemvMultiArgs
-/// and the half-storage path): the output vectors are separated iff
-/// one of the two orderings — RHS-inner (batch stride spans all RHS)
-/// or batch-inner (RHS stride spans the whole batch) — holds.
-/// Overlapping x reads are legal (shared inputs).
-inline bool multi_rhs_y_strides_alias(index_t stride_y, index_t rhs_stride_y,
-                                      index_t y_len, index_t batch,
-                                      index_t nrhs) {
-  const bool rhs_inner = stride_y >= (nrhs - 1) * rhs_stride_y + y_len;
-  const bool batch_inner = rhs_stride_y >= (batch - 1) * stride_y + y_len;
-  return batch > 1 && nrhs > 1 && !rhs_inner && !batch_inner;
-}
-
-/// Multi-RHS extension of the strided batched GEMV: every batch
-/// entry's matrix A_b is applied to `nrhs` right-hand sides,
+/// One operator's slice of a grouped call: every batch entry's matrix
+/// A_b is applied to `nrhs` right-hand sides,
 ///   x_{b,r} = x + b*stride_x + r*rhs_stride_x,
-///   y_{b,r} = y + b*stride_y + r*rhs_stride_y,
-/// with arithmetic per (b, r) identical to the single-RHS kernels
-/// (bit-exact vs nrhs independent sbgemv calls).  The kernels load
-/// each matrix tile once and stream all nrhs vectors through it, so
-/// the dominant matrix traffic is paid once per batch entry instead
-/// of once per RHS — the batched-execution amortisation the FFT
-/// matvec's apply_batch builds on.
+///   y_{b,r} = y + b*stride_y + r*rhs_stride_y.
+/// The multi-RHS kernel bodies take these arguments; they load each
+/// matrix tile once and stream all nrhs vectors through it, so the
+/// dominant matrix traffic is paid once per batch entry instead of
+/// once per RHS — the batched-execution amortisation the FFT matvec's
+/// apply_batch builds on.  Per-(b, r) arithmetic does not depend on
+/// nrhs.
 template <class T>
 struct SbgemvMultiArgs {
   SbgemvArgs<T> base;
@@ -106,15 +93,22 @@ struct SbgemvMultiArgs {
 
   void validate(bool allow_null = false) const {
     base.validate(allow_null);
-    if (nrhs <= 0) throw std::invalid_argument("sbgemv_multi: nrhs must be >= 1");
+    if (nrhs <= 0) throw std::invalid_argument("sbgemv_grouped: nrhs must be >= 1");
     if (nrhs > 1) {
       if (rhs_stride_x < base.x_len() || rhs_stride_y < base.y_len()) {
-        throw std::invalid_argument("sbgemv_multi: RHS strides overlap the vectors");
+        throw std::invalid_argument("sbgemv_grouped: RHS strides overlap the vectors");
       }
-      if (multi_rhs_y_strides_alias(base.stride_y, rhs_stride_y, base.y_len(),
-                                    base.batch, nrhs)) {
+      // The output vectors are separated iff one of the two orderings
+      // — RHS-inner (batch stride spans all RHS) or batch-inner (RHS
+      // stride spans the whole batch) — holds.  Overlapping x reads
+      // are legal (shared inputs).
+      const index_t y_len = base.y_len();
+      const bool rhs_inner = base.stride_y >= (nrhs - 1) * rhs_stride_y + y_len;
+      const bool batch_inner =
+          rhs_stride_y >= (base.batch - 1) * base.stride_y + y_len;
+      if (base.batch > 1 && !rhs_inner && !batch_inner) {
         throw std::invalid_argument(
-            "sbgemv_multi: y strides alias across batch entries");
+            "sbgemv_grouped: y strides alias across batch entries");
       }
     }
   }
@@ -163,17 +157,17 @@ struct SbgemvVerify {
   double tolerance = 0.0;
 };
 
-/// Grouped extension of the multi-RHS strided batched GEMV (the
-/// cuBLAS grouped-batched-GEMM idea applied to SBGEMV): the RHS
+/// Grouped multi-operator multi-RHS strided batched GEMV arguments
+/// (the cuBLAS grouped-batched-GEMM idea applied to SBGEMV): the RHS
 /// dimension is partitioned into contiguous groups, each carrying its
 /// own matrix base pointer, so one launch serves several operators.
-/// The vector layout is exactly SbgemvMultiArgs with
-/// nrhs = total_nrhs() — RHS r of group g lives at global index
-/// (sum of earlier groups' nrhs) + r — and per-(batch, group, RHS)
-/// arithmetic is bit-identical to one sbgemv_multi call per group.
-/// base.a is ignored; each group's matrix is (re)read once per batch
-/// entry, so the modelled matrix traffic scales with the group count
-/// while vector traffic scales with the total RHS count.
+/// RHS r of group g lives at global index (sum of earlier groups'
+/// nrhs) + r, with the SbgemvMultiArgs layout over total_nrhs()
+/// vectors; per-(batch, group, RHS) arithmetic is bit-identical to a
+/// one-group call per group.  base.a is ignored; each group's matrix
+/// is (re)read once per batch entry, so the modelled matrix traffic
+/// scales with the group count while vector traffic scales with the
+/// total RHS count.
 template <class T>
 struct SbgemvGroupedArgs {
   SbgemvArgs<T> base;
@@ -187,10 +181,10 @@ struct SbgemvGroupedArgs {
     return total;
   }
 
-  /// The SbgemvMultiArgs equivalent of one group: matrix `a`, RHS
-  /// range [r0, r0 + nrhs).  The kernels and the single-group fast
-  /// path both run through this, which is what makes the grouped call
-  /// bit-identical to per-group sbgemv_multi calls.
+  /// The SbgemvMultiArgs slice of one group: matrix `a`, RHS range
+  /// [r0, r0 + nrhs).  Every gridblock runs each group through this,
+  /// which is what makes a grouped call bit-identical to one-group
+  /// calls per group.
   SbgemvMultiArgs<T> group_slice(const T* a, index_t r0, index_t nrhs) const {
     SbgemvMultiArgs<T> ma{base, nrhs, rhs_stride_x, rhs_stride_y};
     ma.base.a = a;

@@ -4,7 +4,9 @@
 // reproduces the integration path the paper describes (§3.1.1): the
 // optimized short-and-wide kernel was inserted into the rocBLAS host
 // dispatcher with transition points set from benchmark data, keeping
-// application code unchanged.
+// application code unchanged.  sbgemv_grouped is the one launcher
+// (kernel selection, main launch, SDC injection site, checksum
+// verify); sbgemv is its one-group, one-RHS call.
 #pragma once
 
 #include <cstring>
@@ -79,75 +81,16 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
   return GemvKernelKind::kReferenceT;
 }
 
-/// Execute the strided batched GEMV on the simulated device stream.
-/// Returns the simulated kernel timing (used by the benchmarks for
-/// achieved-bandwidth reporting, mirroring rocblas-bench).
-template <class T>
-device::KernelTiming sbgemv(device::Stream& stream, const SbgemvArgs<T>& args,
-                            GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
-  args.validate(/*allow_null=*/stream.device().phantom());
-  const GemvKernelKind kind = select_kernel(args, policy);
-  const auto geom = gemv_geometry(kind, args.m, args.n, args.batch);
-  const auto fp = gemv_footprint<T>(kind, args.m, args.n, args.batch);
-  switch (kind) {
-    case GemvKernelKind::kReferenceN:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_n_reference_block(args, bx, bz);
-      });
-    case GemvKernelKind::kReferenceT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_reference_block(args, bx, bz);
-      });
-    case GemvKernelKind::kOptimizedT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_optimized_block(args, bx, bz);
-      });
-  }
-  return {};
-}
-
-/// Multi-RHS strided batched GEMV: apply each batch entry's matrix to
-/// `args.nrhs` right-hand sides in one launch.  Kernel selection
-/// reuses the single-RHS policies/transition points (the shape per
-/// dot product is unchanged); per-(batch, RHS) arithmetic is
-/// bit-identical to nrhs independent sbgemv() calls, while the
-/// modelled footprint pays the matrix traffic once per batch entry —
-/// the GEMM-style amortisation batched applies are built on.
-template <class T>
-device::KernelTiming sbgemv_multi(device::Stream& stream,
-                                  const SbgemvMultiArgs<T>& args,
-                                  GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
-  args.validate(/*allow_null=*/stream.device().phantom());
-  const SbgemvArgs<T>& base = args.base;
-  const GemvKernelKind kind = select_kernel(base, policy);
-  const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
-  const auto fp = gemv_multi_footprint<T>(kind, base.m, base.n, base.batch, args.nrhs);
-  switch (kind) {
-    case GemvKernelKind::kReferenceN:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_n_reference_multi_block(args, bx, bz);
-      });
-    case GemvKernelKind::kReferenceT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_reference_multi_block(args, bx, bz);
-      });
-    case GemvKernelKind::kOptimizedT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_optimized_multi_block(args, bx, bz);
-      });
-  }
-  return {};
-}
-
 /// Grouped multi-operator multi-RHS batched GEMV: one launch applies
 /// several operators' matrices, each to its own contiguous RHS group
 /// (the cuBLAS grouped-batched interface idea — per-group matrix
-/// pointers cost little over strided access).  Kernel selection
-/// reuses the single-RHS policies (the per-dot-product shape is
-/// unchanged); per-(batch, group, RHS) arithmetic is bit-identical to
-/// one sbgemv_multi call per group, and a single group IS a
-/// sbgemv_multi call — the same-operator case stays on that fast path
-/// with an identical modelled footprint.
+/// pointers cost little over strided access).  Kernel selection uses
+/// the single-RHS policies and transition points (the per-dot-product
+/// shape is unchanged); per-(batch, group, RHS) arithmetic is
+/// bit-identical to a one-group call per group, and per-(batch, RHS)
+/// arithmetic to a one-RHS call per RHS.  Returns the simulated kernel
+/// timing (used by the benchmarks for achieved-bandwidth reporting,
+/// mirroring rocblas-bench).
 ///
 /// This is also the library's SDC boundary.  An attached FaultPlan's
 /// buffer-write hook may silently flip a bit of the output after the
@@ -187,61 +130,64 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
       }
     }
   }
+  const SbgemvArgs<T>& base = args.base;
+  const GemvKernelKind kind = select_kernel(base, policy);
+  const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
+  const index_t num_groups = static_cast<index_t>(args.groups.size());
+  const index_t nrhs = args.total_nrhs();
+  auto fp = gemv_footprint<T>(kind, base.m, base.n, base.batch, num_groups, nrhs);
+  if (verify.enabled) {
+    const auto extra = gemv_checksum_extra_footprint<T>(
+        base.x_len(), base.batch, num_groups, nrhs);
+    fp.bytes_read += extra.bytes_read;
+    fp.bytes_written += extra.bytes_written;
+    fp.flops += extra.flops;
+  }
+  // The augmented body runs the unchanged grouped block, then lets
+  // each batch entry's bx == 0 block compute the checksum dots.  A
+  // single group (every single-operator call) runs its slice, built
+  // once here, straight through the inlined body: re-slicing inside
+  // the group loop made small optimized-transpose blocks ~25% slower
+  // on the host (gcc 12 -O3, x86-64, 128x8 at 1001 frequencies).
+  const auto run = [&](auto body) {
+    return stream.launch(
+        geom, fp,
+        [args, verify, body,
+         one = args.group_slice(args.groups[0].a, 0, args.groups[0].nrhs)](
+            index_t bx, index_t, index_t bz) {
+          if (args.groups.size() == 1) {
+            body(one, bx, bz);
+          } else {
+            gemv_grouped_block(args, bx, bz, body);
+          }
+          if (verify.enabled && bx == 0) {
+            gemv_grouped_checksum_block(args, verify, bz);
+          }
+        });
+  };
   device::KernelTiming timing{};
-  if (!verify.enabled && args.groups.size() == 1) {
-    timing = sbgemv_multi(
-        stream, args.group_slice(args.groups[0].a, 0, args.groups[0].nrhs),
-        policy);
-  } else {
-    const SbgemvArgs<T>& base = args.base;
-    const GemvKernelKind kind = select_kernel(base, policy);
-    const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
-    auto fp = gemv_grouped_footprint<T>(
-        kind, base.m, base.n, base.batch,
-        static_cast<index_t>(args.groups.size()), args.total_nrhs());
-    if (verify.enabled) {
-      const auto extra = gemv_checksum_extra_footprint<T>(
-          base.x_len(), base.batch,
-          static_cast<index_t>(args.groups.size()), args.total_nrhs());
-      fp.bytes_read += extra.bytes_read;
-      fp.bytes_written += extra.bytes_written;
-      fp.flops += extra.flops;
-    }
-    // The augmented body runs the unchanged grouped block, then lets
-    // each batch entry's bx == 0 block compute the checksum dots.
-    const auto run = [&](auto block_fn) {
-      return stream.launch(geom, fp,
-                           [args, verify, block_fn](index_t bx, index_t,
-                                                    index_t bz) {
-                             block_fn(args, bx, bz);
-                             if (verify.enabled && bx == 0) {
-                               gemv_grouped_checksum_block(args, verify, bz);
-                             }
-                           });
-    };
-    switch (kind) {
-      case GemvKernelKind::kReferenceN:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_n_reference_grouped_block(a, bx, bz);
-        });
-        break;
-      case GemvKernelKind::kReferenceT:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_t_reference_grouped_block(a, bx, bz);
-        });
-        break;
-      case GemvKernelKind::kOptimizedT:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_t_optimized_grouped_block(a, bx, bz);
-        });
-        break;
-    }
+  switch (kind) {
+    case GemvKernelKind::kReferenceN:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_n_reference_multi_block(a, bx, bz);
+      });
+      break;
+    case GemvKernelKind::kReferenceT:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_t_reference_multi_block(a, bx, bz);
+      });
+      break;
+    case GemvKernelKind::kOptimizedT:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_t_optimized_multi_block(a, bx, bz);
+      });
+      break;
   }
   // SDC injection site: an attached FaultPlan may corrupt the output
   // buffer after the (apparently successful) main launch.  Consulted
   // unconditionally — with verification off, the corruption goes
   // undetected, which is exactly the baseline the bench contrasts.
-  if (!phantom && args.base.y != nullptr) {
+  if (!phantom && base.y != nullptr) {
     if (const auto plan = stream.device().fault_plan()) {
       if (const auto draw = plan->on_buffer_write()) {
         detail::corrupt_grouped_output(args, *draw);
@@ -251,13 +197,11 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
   if (verify.enabled) {
     device::VerifyFailure fail;
     device::VerifyFailure* fail_ptr = &fail;
-    const SbgemvArgs<T>& base = args.base;
     const device::LaunchGeometry vgeom{.grid_x = 1,
                                        .grid_y = 1,
                                        .grid_z = base.batch,
                                        .block_threads = 64};
-    const auto vfp =
-        gemv_verify_footprint<T>(base.y_len(), base.batch, args.total_nrhs());
+    const auto vfp = gemv_verify_footprint<T>(base.y_len(), base.batch, nrhs);
     stream.launch(vgeom, vfp, [args, verify, fail_ptr](index_t, index_t,
                                                        index_t bz) {
       gemv_grouped_verify_block(args, verify, fail_ptr, bz);
@@ -273,6 +217,16 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
     }
   }
   return timing;
+}
+
+/// Single-operator, single-RHS strided batched GEMV: a one-group,
+/// one-RHS sbgemv_grouped call (same kernels, footprint and SDC
+/// injection site).
+template <class T>
+device::KernelTiming sbgemv(device::Stream& stream, const SbgemvArgs<T>& args,
+                            GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
+  const SbgemvGroup<T> one[] = {{args.a, 1}};
+  return sbgemv_grouped(stream, SbgemvGroupedArgs<T>{args, 0, 0, one}, policy);
 }
 
 /// Plain single-threaded host GEMV used as the correctness reference

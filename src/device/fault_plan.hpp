@@ -12,8 +12,8 @@
 //   * rank-group syncs — DistributedMatvecPlan::apply_batch consults
 //     on_group_sync() at its entry collective and throws
 //     comm::RankFailure when a rank of the group is down;
-//   * buffer writes    — blas::sbgemv_grouped consults
-//     on_buffer_write() after its main launch and, when the hook
+//   * buffer writes    — blas::sbgemv_grouped (and so blas::sbgemv)
+//     consults on_buffer_write() after its main launch and, when the hook
 //     fires, flips an exponent bit of one element of the output
 //     DeviceVector.  The kernel "succeeds" and the result is silently
 //     wrong — detectable only by ABFT verification (VerifyMode).  The

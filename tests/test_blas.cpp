@@ -11,9 +11,7 @@
 #include "blas/gemv_kernels.hpp"
 #include "blas/permute.hpp"
 #include "blas/sbgemv.hpp"
-#include "blas/sbgemv_half.hpp"
 #include "blas/vector_ops.hpp"
-#include "precision/half.hpp"
 #include "device/device.hpp"
 #include "device/stream.hpp"
 #include "util/rng.hpp"
@@ -171,8 +169,21 @@ TEST(Gemv, RealTransposeEqualsConjTranspose) {
 }
 
 // ----------------------------------------------------- multi-RHS GEMV
-/// sbgemv_multi must be bit-identical to nrhs independent sbgemv
-/// calls: same kernel bodies, same per-(batch, RHS) summation order.
+/// Run `ma` as a one-group sbgemv_grouped call: the group carries the
+/// matrix and every RHS.
+template <class T>
+device::KernelTiming sbgemv_one_group(device::Stream& stream,
+                                      const SbgemvMultiArgs<T>& ma,
+                                      GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
+  const SbgemvGroup<T> one[] = {{ma.base.a, ma.nrhs}};
+  return sbgemv_grouped(
+      stream, SbgemvGroupedArgs<T>{ma.base, ma.rhs_stride_x, ma.rhs_stride_y, one},
+      policy);
+}
+
+/// A one-group multi-RHS call must be bit-identical to nrhs
+/// independent sbgemv calls: same kernel bodies, same per-(batch, RHS)
+/// summation order.
 template <class T>
 void check_multi_matches_independent(Op op, GemvKernelPolicy policy) {
   device::Device dev(device::make_mi300x());
@@ -204,7 +215,7 @@ void check_multi_matches_independent(Op op, GemvKernelPolicy policy) {
   ma.nrhs = nrhs;
   ma.rhs_stride_x = xlen;
   ma.rhs_stride_y = ylen;
-  sbgemv_multi(stream, ma, policy);
+  sbgemv_one_group(stream, ma, policy);
 
   for (index_t r = 0; r < nrhs; ++r) {
     SbgemvArgs<T> args = ma.base;
@@ -241,8 +252,8 @@ TEST(GemvMulti, AmortisesMatrixTrafficInTheModel) {
                                                      m, n, batch)).seconds;
   const double t8 =
       model
-          .kernel_time(geom, gemv_multi_footprint<cfloat>(
-                                 GemvKernelKind::kOptimizedT, m, n, batch, nrhs))
+          .kernel_time(geom, gemv_footprint<cfloat>(GemvKernelKind::kOptimizedT,
+                                                    m, n, batch, 1, nrhs))
           .seconds;
   EXPECT_LT(t8, 2.0 * t1);  // ~1x matrix + 8x vectors, not 8x total
   EXPECT_GT(t8, t1);        // but strictly more than one RHS
@@ -265,28 +276,28 @@ TEST(GemvMulti, ValidationErrors) {
   ma.base.stride_y = 8;
   ma.base.batch = 2;
   ma.nrhs = 0;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
+  EXPECT_THROW(sbgemv_one_group(stream, ma), std::invalid_argument);
   ma.nrhs = 2;
   ma.rhs_stride_x = 2;  // < x_len
   ma.rhs_stride_y = 4;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
+  EXPECT_THROW(sbgemv_one_group(stream, ma), std::invalid_argument);
   // Cross-batch aliasing: batch entry 0's RHS 1 would share memory
   // with entry 1's RHS 0 (stride_y sized for a single RHS).
   ma.rhs_stride_x = 4;
   ma.rhs_stride_y = 4;
   ma.base.stride_x = 4;
   ma.base.stride_y = 4;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
+  EXPECT_THROW(sbgemv_one_group(stream, ma), std::invalid_argument);
   // Batch-inner layouts (rhs stride spans the whole batch) are legal.
   ma.base.stride_y = 4;
   ma.rhs_stride_y = 2 * 4;  // (batch-1)*stride_y + y_len
   ma.base.stride_x = 4;
   ma.rhs_stride_x = 2 * 4;
-  EXPECT_NO_THROW(sbgemv_multi(stream, ma));
+  EXPECT_NO_THROW(sbgemv_one_group(stream, ma));
 }
 
 // --------------------------------------------------- grouped GEMV
-/// sbgemv_grouped must be bit-identical to one sbgemv_multi call per
+/// sbgemv_grouped must be bit-identical to one one-group call per
 /// group: same kernel bodies, same per-(batch, group, RHS) summation
 /// order.  Groups are ragged (3 + 1 + 2) and each carries its own
 /// matrix.
@@ -335,7 +346,7 @@ void check_grouped_matches_per_group_multi(Op op, GemvKernelPolicy policy) {
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {
     SbgemvMultiArgs<T> ma = ga.group_slice(mats[g].data(), r0, group_sizes[g]);
     ma.base.y = y_per_group.data() + r0 * ylen;
-    sbgemv_multi(stream, ma, policy);
+    sbgemv_one_group(stream, ma, policy);
     r0 += group_sizes[g];
   }
   EXPECT_EQ(y_grouped, y_per_group) << "op=" << op_name(op);
@@ -351,46 +362,53 @@ TEST(GemvGrouped, MatchesPerGroupMultiCallsAllKernels) {
   check_grouped_matches_per_group_multi<cfloat>(Op::N, GemvKernelPolicy::kAuto);
 }
 
-TEST(GemvGrouped, SingleGroupIsExactlySbgemvMulti) {
-  // One group must take the sbgemv_multi fast path: identical result
-  // bits AND identical modelled kernel time.
+TEST(GemvGrouped, SbgemvIsExactlyOneGroupOneRhs) {
+  // sbgemv must be a one-group, one-RHS sbgemv_grouped call for every
+  // kernel kind: identical result bits AND identical modelled timing.
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
-  const index_t m = 32, n = 64, batch = 4, nrhs = 3;
+  const index_t m = 32, n = 64, batch = 4;
   const auto a = random_vec<cfloat>(m * n * batch, 81);
-  const auto x = random_vec<cfloat>(batch * nrhs * m, 83);
-  std::vector<cfloat> y_grouped(static_cast<std::size_t>(batch * nrhs * n));
-  auto y_multi = y_grouped;
+  const auto x = random_vec<cfloat>(batch * n, 83);
+  const std::pair<Op, GemvKernelPolicy> kinds[] = {
+      {Op::N, GemvKernelPolicy::kAuto},        // reference non-transpose
+      {Op::C, GemvKernelPolicy::kReference},   // reference transpose
+      {Op::C, GemvKernelPolicy::kOptimized}};  // optimized transpose
+  for (const auto& [op, policy] : kinds) {
+    SbgemvArgs<cfloat> args;
+    args.op = op;
+    args.m = m;
+    args.n = n;
+    args.a = a.data();
+    args.lda = m;
+    args.stride_a = m * n;
+    args.x = x.data();
+    args.stride_x = args.x_len();
+    args.stride_y = args.y_len();
+    args.batch = batch;
+    util::Rng rng(85);
+    args.alpha = random_scalar<cfloat>(rng);
+    args.beta = random_scalar<cfloat>(rng);
+    auto y_plain = random_vec<cfloat>(batch * args.y_len(), 87);
+    auto y_grouped = y_plain;
 
-  SbgemvMultiArgs<cfloat> ma;
-  ma.base.op = Op::C;
-  ma.base.m = m;
-  ma.base.n = n;
-  ma.base.a = a.data();
-  ma.base.lda = m;
-  ma.base.stride_a = m * n;
-  ma.base.x = x.data();
-  ma.base.stride_x = nrhs * m;
-  ma.base.y = y_multi.data();
-  ma.base.stride_y = nrhs * n;
-  ma.base.batch = batch;
-  ma.nrhs = nrhs;
-  ma.rhs_stride_x = m;
-  ma.rhs_stride_y = n;
-  const auto t_multi = sbgemv_multi(stream, ma);
+    args.y = y_plain.data();
+    const auto t_plain = sbgemv(stream, args, policy);
 
-  SbgemvGroupedArgs<cfloat> ga;
-  ga.base = ma.base;
-  ga.base.a = nullptr;  // ignored: the group carries the matrix
-  ga.base.y = y_grouped.data();
-  ga.rhs_stride_x = m;
-  ga.rhs_stride_y = n;
-  const SbgemvGroup<cfloat> one[] = {{a.data(), nrhs}};
-  ga.groups = one;
-  const auto t_grouped = sbgemv_grouped(stream, ga);
+    SbgemvGroupedArgs<cfloat> ga;
+    ga.base = args;
+    ga.base.a = nullptr;  // ignored: the group carries the matrix
+    ga.base.y = y_grouped.data();
+    const SbgemvGroup<cfloat> one[] = {{a.data(), 1}};
+    ga.groups = one;
+    const auto t_grouped = sbgemv_grouped(stream, ga, policy);
 
-  EXPECT_EQ(y_grouped, y_multi);
-  EXPECT_DOUBLE_EQ(t_grouped.seconds, t_multi.seconds);
+    EXPECT_EQ(y_grouped, y_plain) << "op=" << op_name(op);
+    EXPECT_EQ(t_grouped.seconds, t_plain.seconds);
+    EXPECT_EQ(t_grouped.achieved_bandwidth_gbps, t_plain.achieved_bandwidth_gbps);
+    EXPECT_EQ(t_grouped.waves, t_plain.waves);
+    EXPECT_EQ(t_grouped.residency_bound, t_plain.residency_bound);
+  }
 }
 
 TEST(GemvGrouped, GroupedLaunchBeatsPerGroupLaunchesInTheModel) {
@@ -402,19 +420,17 @@ TEST(GemvGrouped, GroupedLaunchBeatsPerGroupLaunchesInTheModel) {
   const device::CostModel model(device::make_mi300x());
   const auto geom = gemv_geometry(GemvKernelKind::kOptimizedT, m, n, batch);
   const double t_single_op =
-      model.kernel_time(geom, gemv_multi_footprint<cfloat>(
-                                  GemvKernelKind::kOptimizedT, m, n, batch, nrhs))
+      model.kernel_time(geom, gemv_footprint<cfloat>(GemvKernelKind::kOptimizedT,
+                                                     m, n, batch, 1, nrhs))
           .seconds;
   const double t_grouped =
-      model.kernel_time(geom, gemv_grouped_footprint<cfloat>(
-                                  GemvKernelKind::kOptimizedT, m, n, batch,
-                                  groups, nrhs))
+      model.kernel_time(geom, gemv_footprint<cfloat>(GemvKernelKind::kOptimizedT,
+                                                     m, n, batch, groups, nrhs))
           .seconds;
   const double t_per_group =
       static_cast<double>(groups) *
-      model.kernel_time(geom, gemv_multi_footprint<cfloat>(
-                                  GemvKernelKind::kOptimizedT, m, n, batch,
-                                  nrhs / groups))
+      model.kernel_time(geom, gemv_footprint<cfloat>(GemvKernelKind::kOptimizedT,
+                                                     m, n, batch, 1, nrhs / groups))
           .seconds;
   EXPECT_GT(t_grouped, t_single_op);
   EXPECT_LT(t_grouped, t_per_group);
@@ -454,101 +470,6 @@ TEST(GemvGrouped, ValidationErrors) {
   EXPECT_THROW(sbgemv_grouped(stream, ga), std::invalid_argument);
   ga.rhs_stride_y = 4;
   EXPECT_NO_THROW(sbgemv_grouped(stream, ga));
-}
-
-TEST(GemvHalfGrouped, MatchesPerGroupHalfCalls) {
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  const index_t m = 32, n = 48, batch = 3;
-  const std::vector<index_t> group_sizes{2, 1, 3};
-  const index_t nrhs = 6;
-  util::Rng rng(91);
-  std::vector<std::vector<precision::half>> mats;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    std::vector<precision::half> mat(static_cast<std::size_t>(m * n * batch));
-    for (auto& v : mat) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-    mats.push_back(std::move(mat));
-  }
-  std::vector<precision::half> x(static_cast<std::size_t>(batch * nrhs * m));
-  for (auto& v : x) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-  std::vector<precision::half> y_grouped(static_cast<std::size_t>(batch * nrhs * n),
-                                         precision::half(0.0f));
-  auto y_per_group = y_grouped;
-
-  SbgemvHalfArgs ha;
-  ha.m = m;
-  ha.n = n;
-  ha.lda = m;
-  ha.stride_a = m * n;
-  ha.x = x.data();
-  ha.stride_x = nrhs * m;
-  ha.y = y_grouped.data();
-  ha.stride_y = nrhs * n;
-  ha.batch = batch;
-  ha.rhs_stride_x = m;
-  ha.rhs_stride_y = n;
-  std::vector<SbgemvHalfGroup> groups;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    groups.push_back({mats[g].data(), group_sizes[g]});
-  }
-  sbgemv_half_grouped(stream, ha, groups);
-
-  index_t r0 = 0;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    SbgemvHalfArgs single = ha;
-    single.a = mats[g].data();
-    single.nrhs = group_sizes[g];
-    single.x = x.data() + r0 * m;
-    single.y = y_per_group.data() + r0 * n;
-    sbgemv_half_optimized(stream, single);
-    r0 += group_sizes[g];
-  }
-  for (std::size_t i = 0; i < y_grouped.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(y_grouped[i]), static_cast<float>(y_per_group[i]));
-  }
-}
-
-TEST(GemvHalfMulti, MatchesIndependentHalfCalls) {
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  const index_t m = 32, n = 48, batch = 3, nrhs = 4;
-  util::Rng rng(53);
-  std::vector<precision::half> a(static_cast<std::size_t>(m * n * batch));
-  std::vector<precision::half> x(static_cast<std::size_t>(batch * nrhs * m));
-  for (auto& v : a) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-  for (auto& v : x) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-  std::vector<precision::half> y_multi(static_cast<std::size_t>(batch * nrhs * n),
-                                       precision::half(0.0f));
-  auto y_indep = y_multi;
-
-  SbgemvHalfArgs ha;
-  ha.m = m;
-  ha.n = n;
-  ha.a = a.data();
-  ha.lda = m;
-  ha.stride_a = m * n;
-  ha.x = x.data();
-  ha.stride_x = nrhs * m;
-  ha.y = y_multi.data();
-  ha.stride_y = nrhs * n;
-  ha.batch = batch;
-  ha.nrhs = nrhs;
-  ha.rhs_stride_x = m;
-  ha.rhs_stride_y = n;
-  sbgemv_half_optimized(stream, ha);
-
-  for (index_t r = 0; r < nrhs; ++r) {
-    SbgemvHalfArgs single = ha;
-    single.nrhs = 1;
-    single.rhs_stride_x = 0;
-    single.rhs_stride_y = 0;
-    single.x = x.data() + r * m;
-    single.y = y_indep.data() + r * n;
-    sbgemv_half_optimized(stream, single);
-  }
-  for (std::size_t i = 0; i < y_multi.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(y_multi[i]), static_cast<float>(y_indep[i]));
-  }
 }
 
 TEST(Gemv, ValidationErrors) {

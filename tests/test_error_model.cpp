@@ -4,6 +4,8 @@
 // error must stay below the modelled bound with O(1) constants.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "blas/vector_ops.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/error_model.hpp"
@@ -132,9 +134,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<index_t, index_t, index_t>(128, 4, 32),
                       std::make_tuple<index_t, index_t, index_t>(48, 16, 20)),
     [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "d" +
-             std::to_string(std::get<1>(info.param)) + "t" +
-             std::to_string(std::get<2>(info.param));
+      // Appended piecewise: `"m" + std::to_string(...)` prepends into
+      // the temporary, which gcc 12 flags with a false -Wrestrict.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "d";
+      name += std::to_string(std::get<1>(info.param));
+      name += "t";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 TEST(ErrorModel, BoundIsNotVacuous) {

@@ -618,6 +618,44 @@ TEST(AbftChecksum, BufferWriteWindowFiresOnForward) {
   EXPECT_EQ(out, clean);
 }
 
+// sbgemv is a one-group, one-RHS sbgemv_grouped call, so a direct
+// call meets the same buffer-write hook and counts toward its index.
+TEST(AbftChecksum, BufferWriteWindowFiresOnDirectSbgemv) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t m = 8, n = 16, batch = 3;
+  const auto a = core::make_input_vector(m * n * batch, 95);
+  const auto x = core::make_input_vector(m * batch, 96);
+  blas::SbgemvArgs<double> args;
+  args.op = blas::Op::T;
+  args.m = m;
+  args.n = n;
+  args.a = a.data();
+  args.lda = m;
+  args.stride_a = m * n;
+  args.x = x.data();
+  args.stride_x = m;
+  args.stride_y = n;
+  args.batch = batch;
+  std::vector<double> clean(static_cast<std::size_t>(n * batch));
+  std::vector<double> out(clean.size());
+  args.y = clean.data();
+  blas::sbgemv(stream, args);
+
+  auto faults = std::make_shared<FaultPlan>();
+  faults->fail_buffer_writes(0, 1);
+  dev.set_fault_plan(faults);
+  args.y = out.data();
+  blas::sbgemv(stream, args);
+  EXPECT_EQ(faults->stats().buffer_writes, 1u);
+  EXPECT_EQ(faults->stats().buffer_faults, 1u);
+  EXPECT_NE(out, clean);
+  blas::sbgemv(stream, args);  // the window has passed
+  EXPECT_EQ(faults->stats().buffer_writes, 2u);
+  EXPECT_EQ(faults->stats().buffer_faults, 1u);
+  EXPECT_EQ(out, clean);
+}
+
 // -------------------------------------------------- serve retry + quarantine
 TEST(ServeFaults, TransientFaultRetriesBitIdentically) {
   ServeOptions opts;
