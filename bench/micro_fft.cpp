@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the FFT substrate on the host:
-// radix-2 vs Bluestein dispatch, R2C transforms, and the padded-
-// length trade-off (2 N_t with Bluestein vs next-pow-2 with radix-2)
-// the circulant embedding creates.
+// mixed-radix vs Bluestein dispatch (each case labelled by the path it
+// takes), R2C transforms, and the padded-length trade-off (2 N_t vs
+// next-pow-2) the circulant embedding creates.
 #include <benchmark/benchmark.h>
 
 #include "fft/complex_engine.hpp"
@@ -24,10 +24,12 @@ void BM_ComplexFft(benchmark::State& state) {
     eng.transform(x.data(), y.data(), -1, scratch);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetLabel(eng.uses_bluestein() ? "bluestein" : "radix2");
+  state.SetLabel(eng.uses_bluestein() ? "bluestein" : "mixed-radix");
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ComplexFft)->Arg(256)->Arg(1000)->Arg(1024)->Arg(2000)->Arg(2048);
+// 2310 = 2*3*5*7*11 keeps the remaining Bluestein cost visible.
+BENCHMARK(BM_ComplexFft)
+    ->Arg(256)->Arg(1000)->Arg(1024)->Arg(2000)->Arg(2048)->Arg(2310);
 
 void BM_RealFftForward(benchmark::State& state) {
   const index_t L = state.range(0);
@@ -46,9 +48,9 @@ void BM_RealFftForward(benchmark::State& state) {
 BENCHMARK(BM_RealFftForward)->Arg(512)->Arg(2000)->Arg(2048)->Arg(4096);
 
 // The pipeline pads to L = 2 N_t (paper) which is rarely a power of
-// two; padding further to next_pow2 would trade Bluestein for plain
-// radix-2 at a larger size.  This benchmark quantifies that choice
-// for the paper's N_t = 1000.
+// two; padding further to next_pow2 would trade a mixed-radix length
+// for a power of two at a larger size.  This benchmark quantifies that
+// choice for the paper's N_t = 1000.
 void BM_PaddingChoice(benchmark::State& state) {
   const index_t L = state.range(0);  // 2000 (paper) or 2048 (pow2)
   fft::RealFftEngine<double> eng(L);

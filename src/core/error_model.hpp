@@ -39,6 +39,14 @@ struct ErrorModelInputs {
   double amplification = 1.0;
 };
 
+/// Van Loan's normwise rounding bound for one length-n FFT computed
+/// with machine epsilon `eps`: c * eps * log2(n), rounded up to a
+/// whole number of levels.  error_bound's FFT terms are this per-phase
+/// growth at n = N_t.
+inline double fft_error_bound(double eps, index_t n, double c = 1.0) {
+  return c * eps * util::log2_ceil(n);
+}
+
 inline double error_bound(const precision::PrecisionConfig& config,
                           const ErrorModelInputs& in,
                           const ErrorModelConstants& c = {}) {

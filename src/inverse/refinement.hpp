@@ -8,11 +8,19 @@
 //          solve H_mixed dm = r by CG  (cheap mixed-precision inner)
 //          m += dm
 //   until ||r|| / ||b|| < tol.
+//
+// The inner solve runs at unit scale: r is divided by ||r|| before the
+// CG and dm multiplied back after it.  The inner tolerance is relative,
+// so the iteration is unchanged in exact arithmetic, but a late
+// residual of norm 1e-10 or 1e-25 would otherwise push the float
+// phases' products into the subnormal range, where the host runs up
+// to ~3x slower and the low bits are lost.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "blas/vector_ops.hpp"
 #include "inverse/bayes.hpp"
 
 namespace fftmv::inverse {
@@ -49,6 +57,12 @@ inline RefinementResult solve_with_refinement(
   }
 
   for (index_t outer = 0; outer < max_outer; ++outer) {
+    const double r_norm = blas::nrm2<double>(n, r.data());
+    if (r_norm == 0.0) {  // exact solution (only reachable with tolerance 0)
+      result.converged = true;
+      return result;
+    }
+    for (double& v : r) v /= r_norm;
     const index_t mixed_before = hess_mixed.matvec_count();
     const auto inner = conjugate_gradient(
         [&](std::span<const double> in, std::span<double> out) {
@@ -58,7 +72,7 @@ inline RefinementResult solve_with_refinement(
     result.inner_cg_iterations += inner.iterations;
     result.mixed_matvecs += hess_mixed.matvec_count() - mixed_before;
 
-    for (index_t i = 0; i < n; ++i) m[i] += dm[static_cast<std::size_t>(i)];
+    for (index_t i = 0; i < n; ++i) m[i] += r_norm * dm[static_cast<std::size_t>(i)];
 
     // High-precision residual refresh.
     const index_t double_before = hess_double.matvec_count();

@@ -1,8 +1,8 @@
 // Core matvec tests: the FFT-based pipeline against the dense
 // block-triangular Toeplitz reference, the adjoint identity, all 32
 // mixed-precision configurations, fused-vs-unfused casts, kernel
-// policies, Bluestein vs power-of-two padding, timings, and phantom
-// dry runs.
+// policies, mixed-radix, Bluestein and power-of-two FFT lengths,
+// timings, and phantom dry runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,7 +90,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple<index_t, index_t, index_t>(1, 1, 1),
         std::make_tuple<index_t, index_t, index_t>(8, 3, 5),
         std::make_tuple<index_t, index_t, index_t>(33, 4, 16),
-        std::make_tuple<index_t, index_t, index_t>(50, 2, 25),   // Bluestein
+        std::make_tuple<index_t, index_t, index_t>(50, 2, 25),   // mixed radix, n = 25
+        std::make_tuple<index_t, index_t, index_t>(6, 3, 7),     // Bluestein, n = 7
         std::make_tuple<index_t, index_t, index_t>(64, 8, 32),
         std::make_tuple<index_t, index_t, index_t>(5, 5, 40),    // n_d == n_m
         std::make_tuple<index_t, index_t, index_t>(3, 7, 12)),   // n_d > n_m

@@ -3,6 +3,7 @@
 // remark), and mixed-precision iterative refinement ([9, 10]).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -178,6 +179,48 @@ TEST(Refinement, ReachesDoubleAccuracyWithMostlyMixedMatvecs) {
   EXPECT_LT(blas::relative_l2_error(hd.parameter_size(), m.data(),
                                     m_true.data()),
             1e-8);
+}
+
+// The inner CG runs on r / ||r||, so scaling b by a power of two (exact
+// in double) hands it bit-identical right-hand sides: every scaled
+// solve takes the same inner and outer iterations as the unit one.
+// Without the normalisation, b * 2^-120 drives the float phases into
+// their subnormal range, and the inner CG stalls (hundreds of extra
+// iterations, refinement out of outer loops).
+TEST(Refinement, InnerSolveIsScaleInvariant) {
+  const auto cfg = inverse::LtiConfig::with_uniform_sensors(32, 16, 4);
+  inverse::AdvectionDiffusion1D system(cfg);
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const core::ProblemDims dims{cfg.n_m(), cfg.n_d(), cfg.n_t};
+  const auto local = core::LocalDims::single_rank(dims);
+  core::BlockToeplitzOperator op(dev, stream, local,
+                                 system.first_block_column());
+  core::FftMatvecPlan plan(dev, stream, local);
+  inverse::PriorModel prior;
+  prior.n_m = cfg.n_m();
+  inverse::NoiseModel noise;
+  noise.sigma = 1e-2;
+  inverse::HessianOperator hd(plan, op, prior, noise, precision::PrecisionConfig{});
+  inverse::HessianOperator hm(plan, op, prior, noise,
+                              precision::PrecisionConfig::parse("dssdd"));
+
+  util::Rng rng(23);
+  std::vector<double> b(static_cast<std::size_t>(hd.parameter_size()));
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  std::vector<double> m(b.size());
+  const auto unit = inverse::solve_with_refinement(hd, hm, b, m, 1e-11, 20, 1e-4, 200);
+  EXPECT_TRUE(unit.converged);
+
+  for (int exp : {-100, -120}) {
+    std::vector<double> b_scaled(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) b_scaled[i] = std::ldexp(b[i], exp);
+    const auto scaled =
+        inverse::solve_with_refinement(hd, hm, b_scaled, m, 1e-11, 20, 1e-4, 200);
+    EXPECT_TRUE(scaled.converged) << "b * 2^" << exp;
+    EXPECT_EQ(scaled.inner_cg_iterations, unit.inner_cg_iterations) << "b * 2^" << exp;
+    EXPECT_EQ(scaled.outer_iterations, unit.outer_iterations) << "b * 2^" << exp;
+  }
 }
 
 TEST(Refinement, ZeroRhsTrivial) {

@@ -4,10 +4,13 @@
 // depends on), and the batched strided plans on the simulated device.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstdio>
 #include <random>
 #include <vector>
 
+#include "core/error_model.hpp"
 #include "device/device.hpp"
 #include "device/stream.hpp"
 #include "fft/complex_engine.hpp"
@@ -122,10 +125,28 @@ INSTANTIATE_TEST_SUITE_P(Sizes, C2CSizes,
                          });
 
 TEST(C2C, BluesteinDispatchesOnNonPow2) {
-  EXPECT_FALSE(ComplexFftEngine<double>(1024).uses_bluestein());
-  ComplexFftEngine<double> e(1000);
-  EXPECT_TRUE(e.uses_bluestein());
-  EXPECT_EQ(e.bluestein_length(), 2048);  // next_pow2(2*1000 - 1)
+  // 2,3,5-smooth lengths (powers of two included) run mixed radix.
+  for (index_t n : {1, 24, 40, 1000, 1024}) {
+    const ComplexFftEngine<double> e(n);
+    EXPECT_FALSE(e.uses_bluestein()) << "n=" << n;
+    EXPECT_EQ(e.bluestein_length(), 0) << "n=" << n;
+  }
+  // A prime factor above 5 takes Bluestein.
+  const ComplexFftEngine<double> e1001(1001);  // 7 * 11 * 13
+  EXPECT_TRUE(e1001.uses_bluestein());
+  EXPECT_EQ(e1001.bluestein_length(), 2048);  // next_pow2(2*1001 - 1)
+  const ComplexFftEngine<double> e2310(2310);  // 2 * 3 * 5 * 7 * 11
+  EXPECT_TRUE(e2310.uses_bluestein());
+  EXPECT_EQ(e2310.bluestein_length(), 8192);  // next_pow2(2*2310 - 1)
+}
+
+TEST(C2C, FlopsPriceThePathThatRuns) {
+  EXPECT_DOUBLE_EQ(ComplexFftEngine<double>(1024).flops_per_transform(),
+                   5.0 * 1024 * 10);
+  EXPECT_DOUBLE_EQ(ComplexFftEngine<double>(1000).flops_per_transform(),
+                   5.0 * 1000 * std::log2(1000.0));
+  EXPECT_DOUBLE_EQ(ComplexFftEngine<double>(1001).flops_per_transform(),
+                   3.0 * 5.0 * 2048 * 11 + 8.0 * 2048);
 }
 
 TEST(C2C, InvalidArguments) {
@@ -169,6 +190,81 @@ TEST(C2C, FloatErrorScalesWithLogN) {
     EXPECT_GT(err, kEpsSingle * 0.1) << "n=" << n;  // not vacuous
   }
 }
+
+// Per-length accuracy in both precisions: forward error against the
+// double-precision reference DFT and round-trip error, printed next
+// to the length, for C2C at n = L and R2C at L.  Lengths cover the
+// serve shapes (48, 80, 96), the paper's padded N_t = 1000 (2000) and
+// its packed half (1000), a power of two, and 2310 = 2*3*5*7*11 on
+// the Bluestein path.  Both stay under error_model.hpp's
+// c * eps * log2(N) with the same c = 4 as FloatErrorScalesWithLogN.
+class FftAccuracy : public ::testing::TestWithParam<index_t> {};
+
+template <class Real>
+double fwd_error(const std::vector<std::complex<Real>>& got,
+                 const std::vector<cdouble>& ref) {
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    num += std::norm(cdouble(got[i]) - ref[i]);
+    den += std::norm(ref[i]);
+  }
+  return std::sqrt(num / den);
+}
+
+template <class Real>
+void check_accuracy(index_t L) {
+  constexpr double kC = 4.0;
+  const double eps = sizeof(Real) == 4 ? kEpsSingle : kEpsDouble;
+  const char* name = sizeof(Real) == 4 ? "float " : "double";
+  const double bound = core::fft_error_bound(eps, L, kC);
+  FftScratch<Real> s;
+
+  // C2C at n = L.
+  ComplexFftEngine<Real> ce(L);
+  const auto x = random_complex<Real>(L, 300 + static_cast<std::uint64_t>(L));
+  std::vector<std::complex<Real>> y(x.size()), back(x.size());
+  ce.transform(x.data(), y.data(), -1, s);
+  ce.transform(y.data(), back.data(), +1, s);
+  for (auto& v : back) v /= static_cast<Real>(L);
+  std::vector<cdouble> xd(x.begin(), x.end());
+  const double c2c_dft = fwd_error(y, dft_reference(xd, -1));
+  const double c2c_rt = fwd_error(back, xd);
+
+  // R2C at L.
+  RealFftEngine<Real> re(L);
+  const auto xr = random_real<Real>(L, 500 + static_cast<std::uint64_t>(L));
+  std::vector<std::complex<Real>> X(static_cast<std::size_t>(re.spectrum_size()));
+  std::vector<Real> xr_back(xr.size());
+  re.forward(xr.data(), X.data(), s);
+  re.inverse(X.data(), xr_back.data(), s);
+  const std::vector<double> xrd(xr.begin(), xr.end());
+  const double r2c_dft = fwd_error(X, dft_reference_r2c(xrd));
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < xr.size(); ++i) {
+    num += (double(xr_back[i]) - xrd[i]) * (double(xr_back[i]) - xrd[i]);
+    den += xrd[i] * xrd[i];
+  }
+  const double r2c_rt = std::sqrt(num / den);
+
+  std::printf("  L=%5lld %s %-11s c2c dft %.2e rt %.2e | r2c dft %.2e rt %.2e"
+              " | bound %.2e\n",
+              static_cast<long long>(L), name,
+              ce.uses_bluestein() ? "bluestein" : "mixed-radix", c2c_dft, c2c_rt,
+              r2c_dft, r2c_rt, bound);
+  EXPECT_LT(c2c_dft, bound) << name << " L=" << L;
+  EXPECT_LT(c2c_rt, bound) << name << " L=" << L;
+  EXPECT_LT(r2c_dft, bound) << name << " L=" << L;
+  EXPECT_LT(r2c_rt, bound) << name << " L=" << L;
+}
+
+TEST_P(FftAccuracy, FloatWithinLogNBound) { check_accuracy<float>(GetParam()); }
+TEST_P(FftAccuracy, DoubleWithinLogNBound) { check_accuracy<double>(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Lengths, FftAccuracy,
+                         ::testing::Values<index_t>(48, 80, 96, 1000, 2000, 2048, 2310),
+                         [](const auto& info) {
+                           return "L" + std::to_string(info.param);
+                         });
 
 // --------------------------------------------------- parameterized R2C
 class R2CSizes : public ::testing::TestWithParam<index_t> {};
